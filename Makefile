@@ -5,7 +5,7 @@ OBS_PORT ?= 8080
 ADDR ?= 127.0.0.1:8263
 WAL ?= /tmp/cinderella.wal
 
-.PHONY: verify build vet test race bench-hotpath bench-obs bench-server bench-shard bench-read bench-wire bench-scan bench-trace bench-recluster bench-tier run-server obs-demo
+.PHONY: verify build vet test race bench-hotpath bench-obs bench-server bench-shard bench-wire bench-trace bench-recluster bench-tier run-server obs-demo loc
 
 # verify is the tier-1 gate: build everything, vet, full test suite under
 # the race detector.
@@ -23,6 +23,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# loc prints the non-test, non-bench/ Go line count per top-level package
+# and in total — the "net non-test LoC per PR" figure ROADMAP aim 2 tracks.
+loc:
+	./scripts/loc.sh
 
 # bench-hotpath regenerates the hot-path baseline the repo tracks in
 # BENCH_hotpath.json (see cmd/cinderella-bench -exp hotpath).
@@ -50,15 +55,6 @@ bench-server:
 bench-shard:
 	$(GO) run ./cmd/cinderella-bench -exp shard -entities 200000 -json BENCH_shard.json
 
-# bench-read measures the lock-free snapshot read path — writer p99
-# latency under a continuous 8-reader full-scan load, snapshot mode vs.
-# the RWMutex baseline, plus the sidecar's decode-avoided fraction — and
-# regenerates BENCH_read.json (see cmd/cinderella-bench -exp read). The
-# tracked result must show writer_p99_improvement >= 5 with
-# selective_decode_avoided_fraction >= 0.80.
-bench-read:
-	$(GO) run ./cmd/cinderella-bench -exp read -entities 50000 -json BENCH_read.json
-
 # bench-wire exercises the binary wire protocol: the steady-state
 # zero-allocation decode microbenchmark, then the end-to-end server
 # comparison (which re-records BENCH_server.json, now including the
@@ -67,16 +63,6 @@ bench-read:
 bench-wire:
 	$(GO) test -run - -bench BenchmarkWireDecode -benchmem ./internal/wire
 	$(GO) run ./cmd/cinderella-bench -exp server -json BENCH_server.json
-
-# bench-scan measures the word-parallel bitmap scan kernel against the
-# per-record sidecar baseline — selective query throughput on the
-# coarse-partitioned Fig. 5 arm, the bitmap-vs-sidecar equivalence
-# sweep, and the frozen-partition zero-cold-byte prune probe — and
-# regenerates BENCH_scan.json (see cmd/cinderella-bench -exp scan). The
-# tracked result must show within_budget=true (speedup >= 3x) with
-# equivalence_ok=true and prune_zero_cold_ok=true.
-bench-scan:
-	$(GO) run ./cmd/cinderella-bench -exp scan -entities 100000 -json BENCH_scan.json
 
 # bench-trace measures the query-tracing subsystem's overhead — 1-in-64
 # span sampling plus the always-on partition heat map, against a

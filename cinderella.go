@@ -449,7 +449,7 @@ func (t *Table) checkEntityAttrs(e *entity.Entity) error {
 
 // ScanAll returns every live document (a full scan over all partitions;
 // no pruning is possible). Like Query it runs lock-free against a
-// consistent snapshot by default, so a long scan never stalls writers.
+// consistent snapshot, so a long scan never stalls writers.
 func (t *Table) ScanAll() []Record {
 	return t.toRecords(t.inner.ScanAll())
 }
@@ -459,20 +459,6 @@ func (t *Table) ScanAll() []Record {
 func (t *Table) ScanAllSpanned(sp *obs.QuerySpan) []Record {
 	return t.toRecords(t.inner.ScanAllSpanned(sp))
 }
-
-// SetLockedReads switches Query/QueryWhere/ScanAll between the default
-// lock-free snapshot mode and the historical mode where reads hold the
-// table's shared lock for the whole scan. Results and reports are
-// identical in both modes; the locked mode exists as the comparison
-// baseline for benchmarks (cinderella-bench -exp read).
-func (t *Table) SetLockedReads(locked bool) { t.inner.SetLockedReads(locked) }
-
-// SetBitmapScans switches snapshot Query/QueryWhere scans between the
-// word-parallel bitmap kernel (default, on) and the per-record sidecar
-// path. Results and reports are identical in both modes; the sidecar
-// path exists as the comparison baseline for benchmarks
-// (cinderella-bench -exp scan) and the equivalence tests.
-func (t *Table) SetBitmapScans(on bool) { t.inner.SetBitmapScans(on) }
 
 // PartitionStat describes one partition. The json tags are the
 // service-layer wire format (GET /v1/partitions).

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cinderella-bench [-exp all|fig4|fig5|fig6|fig7|fig8|tab1|efficiency|hotpath|obs|server|shard|read|scan|trace|recluster|tier]
+//	cinderella-bench [-exp all|fig4|fig5|fig6|fig7|fig8|tab1|efficiency|hotpath|obs|server|shard|trace|recluster|tier]
 //	                 [-entities N] [-sf F] [-seed S] [-json FILE] [-obs :PORT]
 //	                 [-allow-serial] [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -21,17 +21,11 @@
 // experiment measures the telemetry layer's overhead (instrumented vs.
 // uninstrumented; the repo tracks BENCH_obs.json). The shard experiment
 // measures write-path scaling across 1/2/4/8 hash-routed shards (the
-// repo tracks BENCH_shard.json). The read experiment races a mixed
-// 8-writer/8-reader workload to compare writer tail latency between
-// lock-free snapshot reads and the historical RWMutex read path, and
-// reports the fraction of record decodes the synopsis sidecar avoids
-// (the repo tracks BENCH_read.json). The scan experiment measures the
-// word-parallel bitmap scan kernel against the per-record sidecar
-// baseline on the selective query bucket, checks result equivalence,
-// and verifies a fully pruned frozen partition charges zero cold bytes
-// (the repo tracks BENCH_scan.json). With -obs :PORT the process serves the
-// ops endpoint (/metrics, /debug/vars, /debug/pprof) while experiments
-// run. -cpuprofile and -memprofile write pprof profiles of the run.
+// repo tracks BENCH_shard.json). Read-path numbers come from the
+// end-to-end benchmark (bash bench/run.sh --workload query). With
+// -obs :PORT the process serves the ops endpoint (/metrics, /debug/vars,
+// /debug/pprof) while experiments run. -cpuprofile and -memprofile write
+// pprof profiles of the run.
 package main
 
 import (
@@ -50,11 +44,11 @@ import (
 var knownExps = []string{
 	"all", "fig4", "fig5", "fig6", "fig7", "fig8", "tab1",
 	"efficiency", "cache", "churn", "hotpath", "obs", "server", "shard",
-	"read", "scan", "trace", "recluster", "tier",
+	"trace", "recluster", "tier",
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig4, fig5, fig6, fig7, fig8, tab1, efficiency, cache, churn, hotpath, obs, server, shard, read, scan, trace, recluster, tier")
+	exp := flag.String("exp", "all", "experiment: all, fig4, fig5, fig6, fig7, fig8, tab1, efficiency, cache, churn, hotpath, obs, server, shard, trace, recluster, tier")
 	entities := flag.Int("entities", 100000, "DBpedia-like entity count")
 	sf := flag.Float64("sf", 0.02, "TPC-H-style scale factor for tab1")
 	seed := flag.Int64("seed", 1, "PRNG seed")
@@ -96,9 +90,7 @@ func main() {
 		}
 	}
 
-	// Profiling covers the whole experiment run: the bitmap/sidecar scan
-	// phases are where -exp scan spends its time, so -cpuprofile on that
-	// experiment profiles the kernel directly.
+	// Profiling covers the whole experiment run.
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -221,20 +213,6 @@ func main() {
 	if want("shard") {
 		run("shard", func() {
 			r := experiments.ShardBench(o)
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("read") {
-		run("read", func() {
-			r := experiments.ReadBench(o)
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("scan") {
-		run("scan", func() {
-			r := experiments.ScanBench(o)
 			r.Print(os.Stdout)
 			writeJSON(r)
 		})

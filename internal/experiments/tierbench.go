@@ -29,7 +29,7 @@ import (
 //     with half the table frozen stays within 10% of the untiered p99,
 //   - pruning needs no cold bytes: a hot-set query with frozen
 //     partitions present charges zero cold reads, because the pruning
-//     metadata (synopsis, zone maps, sidecar) stays hot.
+//     metadata (synopsis, zone maps, presence matrix) stays hot.
 //
 // A final close/reopen proves the durable half: the WAL replay recounts
 // exactly and the tier manifest re-freezes the cold set.

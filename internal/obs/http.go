@@ -230,7 +230,7 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 			func(s ShardSnapshot) int64 { return s.WALAppends })
 		shardFamily("cinderella_shard_scan_records_decoded_total", "Records decoded by query scans, by shard.", "counter",
 			func(s ShardSnapshot) int64 { return s.ScanDecoded })
-		shardFamily("cinderella_shard_scan_decode_skipped_total", "Records the sidecar pruned without decoding, by shard.", "counter",
+		shardFamily("cinderella_shard_scan_decode_skipped_total", "Records the bitmap scan kernel pruned without decoding, by shard.", "counter",
 			func(s ShardSnapshot) int64 { return s.ScanSkipped })
 		shardFamily("cinderella_shard_partitions", "Current partition count, by shard.", "gauge",
 			func(s ShardSnapshot) int64 { return s.Partitions })

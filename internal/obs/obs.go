@@ -51,7 +51,7 @@ const (
 	CBytesRead         // live record bytes scanned by queries
 	CBytesRelevant     // live record bytes of returned (relevant) records
 	CScanDecoded       // records decoded by query scans
-	CScanDecodeSkipped // records skipped by the sidecar synopsis without decoding
+	CScanDecodeSkipped // records the bitmap kernel ruled out without decoding
 	CScanBitmapWords   // 64-bit word operations performed by the bitmap scan kernel
 	CScanBitmapHits    // candidate records yielded by the bitmap scan kernel
 
@@ -175,7 +175,7 @@ var counterHelp = [numCounters]string{
 	CBytesRead:         "Live record bytes read by query scans.",
 	CBytesRelevant:     "Live record bytes of records relevant to their query.",
 	CScanDecoded:       "Records decoded by query scans.",
-	CScanDecodeSkipped: "Records the record-synopsis sidecar pruned without decoding.",
+	CScanDecodeSkipped: "Records the bitmap scan kernel pruned without decoding.",
 	CScanBitmapWords:   "64-bit word operations performed by the word-parallel bitmap scan kernel.",
 	CScanBitmapHits:    "Candidate records the bitmap scan kernel could not rule out (decoded).",
 	CWALAppends:        "Operations appended to the write-ahead log.",
@@ -329,7 +329,7 @@ type shardSlot struct {
 	queries     atomic.Int64
 	walAppends  atomic.Int64
 	scanDecoded atomic.Int64 // records decoded by this shard's query scans
-	scanSkipped atomic.Int64 // records its sidecar pruned without decoding
+	scanSkipped atomic.Int64 // records its kernel pruned without decoding
 	partitions  atomic.Int64 // gauge: this shard's partition count
 }
 

@@ -9,7 +9,7 @@ import (
 //
 // A QuerySpan follows one query end-to-end — ingress (server/wire),
 // shard fan-out, per-partition prune verdicts, and the segment scans
-// with their decoded-vs-sidecar-skipped split. The tracer is tiered so
+// with their decoded-vs-kernel-skipped split. The tracer is tiered so
 // the always-on cost stays near zero:
 //
 //   - Heat accounting (heat.go) is unconditional: every query's
@@ -79,7 +79,7 @@ type PruneSpan struct {
 }
 
 // PartSpan is one scanned partition's contribution to a query: the
-// records visited, the decoded/sidecar-skipped split, and the byte
+// records visited, the decoded/kernel-skipped split, and the byte
 // volumes charged. The same struct feeds the heat map and the span
 // tree. ScanNs is populated only on sampled spans.
 type PartSpan struct {
@@ -93,10 +93,8 @@ type PartSpan struct {
 	BytesRelevant int64  `json:"bytes_relevant"`
 	BytesSkipped  int64  `json:"bytes_skipped"`
 	ScanNs        int64  `json:"scan_ns,omitempty"`
-	// Bitmap-kernel attribution: set when the partition was scanned by
-	// the word-parallel bitmap path instead of the per-record sidecar
-	// loop (see internal/table bitmap.go).
-	Bitmap      bool  `json:"bitmap,omitempty"`
+	// Bitmap-kernel attribution (see internal/table bitmap.go): word
+	// operations performed and candidates yielded for this partition.
 	BitmapWords int64 `json:"bitmap_words,omitempty"`
 	BitmapHits  int64 `json:"bitmap_hits,omitempty"`
 }

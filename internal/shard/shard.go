@@ -592,8 +592,7 @@ func (s *Sharded) queryWithReportSpanned(children []*obs.QuerySpan, attrs ...str
 
 // ScanAll fans the full scan out to every shard concurrently and
 // concatenates the per-shard results in shard order. Each shard scans a
-// lock-free snapshot (unless locked reads are enabled), so a full scan
-// never stalls the sharded write path.
+// lock-free snapshot, so a full scan never stalls the sharded write path.
 func (s *Sharded) ScanAll() []cinderella.Record {
 	sp, children, start := s.startFan(obs.KindScanAll, nil)
 	per := fanOut(s.shards, func(i int, d *cinderella.DurableTable) []cinderella.Record {
@@ -605,23 +604,6 @@ func (s *Sharded) ScanAll() []cinderella.Record {
 		out = append(out, r...)
 	}
 	return out
-}
-
-// SetLockedReads switches every shard's read paths between snapshot mode
-// (default) and the historical locked mode (see cinderella.Table).
-func (s *Sharded) SetLockedReads(locked bool) {
-	for _, d := range s.shards {
-		d.SetLockedReads(locked)
-	}
-}
-
-// SetBitmapScans switches every shard's snapshot scans between the
-// word-parallel bitmap kernel (default) and the per-record sidecar path
-// (see cinderella.Table).
-func (s *Sharded) SetBitmapScans(on bool) {
-	for _, d := range s.shards {
-		d.SetBitmapScans(on)
-	}
 }
 
 // Partitions concatenates the per-shard partition synopses in shard

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math/bits"
 	"sort"
 	"sync/atomic"
@@ -8,77 +9,53 @@ import (
 	"cinderella/internal/synopsis"
 )
 
-// The attribute-presence bitmap matrix: the record-synopsis sidecar
-// transposed into attribute-major form.
+// The attribute-presence bitmap matrix: a segment's per-record attribute
+// sets, stored attribute-major.
 //
-// The sidecar answers "which attributes does record r have?" one record
-// at a time — a pointer chase plus a word-AND per visited record, which
-// makes the scan loop memory-bound on irrelevant records. The matrix
-// answers the transposed question, "which records have attribute a?",
-// as one []uint64 bitset per attribute over *slot positions* (a dense
-// numbering of every slot in the page chain, in storage order). A
-// query's predicate then compiles into a handful of word operations:
-// AND the required attributes' bitsets (OR for Select's union shape),
-// fold in the live bitset from the slot directory and the known bitset
-// for nil-sidecar records, and every set bit of the result is a record
-// that must be decoded — 64 records per machine word, no per-record
-// pointer chases.
+// The matrix answers "which records have attribute a?" as one []uint64
+// bitset per attribute over *slot positions* (a dense numbering of every
+// slot in the page chain, in storage order). A query's predicate
+// compiles into a handful of word operations: AND the required
+// attributes' bitsets (OR for Select's union shape), fold in the live
+// bitset, and every set bit of the result is a record that must be
+// decoded — 64 records per machine word, no per-record pointer chases.
+// It is the only per-record pruning structure the segment keeps.
 //
-// Maintenance mirrors the sidecar exactly:
+// Maintenance:
 //
-//   - InsertTagged sets the live bit (plus the known bit and one bit
-//     per attribute when the synopsis is known) at the record's fresh
-//     position.
+//   - InsertTagged sets the live bit and one bit per attribute at the
+//     record's fresh position.
 //   - Delete copies the live bitset, clears the bit, and swaps the copy
 //     in; the attribute bits go stale but are masked by live at
 //     evaluation time.
-//   - Vacuum and freeze rebuild the matrix from scratch with the page
-//     chain.
+//   - Vacuum compacts: the page chain is rebuilt without tombstones, so
+//     the k-th live position becomes position k, and every attribute row
+//     is rewritten by moving its live bits down to their ranks (see
+//     compact). Freeze and thaw keep positions, so the matrix is carried
+//     across as is.
 //
 // Concurrency follows the segment's append-only/copy-on-write
-// discipline. A published view captures the matrix's slice headers and
-// its position count; the only memory a writer later touches in place
-// are word-array elements at *fresh* positions (>= the captured count),
-// which readers mask off. Those in-place bit stores use atomic writes
-// and the kernel uses atomic loads, so the overlap is well-defined (on
-// the word, never on the captured bits). Everything that cannot be
-// expressed as a fresh-position store — clearing a live bit, growing
-// the word arrays, registering a new attribute — copies and swaps like
-// a page delete does.
+// discipline. A published view captures the matrix by value — slice
+// headers plus the position count; the only memory a writer later
+// touches in place are word-array elements at *fresh* positions (>= the
+// captured count), which readers mask off. Those in-place bit stores use
+// atomic writes and the kernel uses atomic loads, so the overlap is
+// well-defined (on the word, never on the captured bits). Everything
+// that cannot be expressed as a fresh-position store — clearing a live
+// bit, growing the word arrays, registering a new attribute — copies and
+// swaps like a page delete does.
 
 // bitmat is a segment's attribute-presence matrix. All word arrays
-// (live, known, every attrs row) always have identical length, grown
-// together, so the kernel indexes them uniformly.
+// (live and every attrs row) always have identical length, grown
+// together, so the kernel indexes them uniformly. A struct copy taken
+// under the segment's exclusive lock is an immutable capture: SegView
+// and ColdSegment hold one.
 type bitmat struct {
 	ids      []int      // sorted attribute ids with a presence row; COW
 	attrs    [][]uint64 // parallel to ids; outer COW, inner grown by COW
 	live     []uint64   // live-record bitset (slot-directory tombstones folded in)
-	known    []uint64   // positions inserted with a non-nil synopsis
 	pageBase []int      // position of each page's slot 0
 	slots    int        // total positions (sum of per-page slot counts)
-}
-
-// bmView is the immutable capture of a bitmat published inside a
-// SegView (and held by ColdSegment after a freeze). It is a plain
-// struct copy taken under the segment's exclusive lock.
-type bmView struct {
-	ids      []int
-	attrs    [][]uint64
-	live     []uint64
-	known    []uint64
-	pageBase []int
-	slots    int
-}
-
-func (m *bitmat) view() bmView {
-	return bmView{
-		ids:      m.ids,
-		attrs:    m.attrs,
-		live:     m.live,
-		known:    m.known,
-		pageBase: m.pageBase,
-		slots:    m.slots,
-	}
 }
 
 // notePage registers a freshly appended page. Append may write one
@@ -96,28 +73,26 @@ func setBit(w []uint64, pos int) {
 	atomic.StoreUint64(&w[i], atomic.LoadUint64(&w[i])|1<<(uint(pos)&63))
 }
 
+// wordsFor returns the word-array length covering positions [0, slots),
+// never below the minimum allocation.
+func wordsFor(slots int) int {
+	return max((slots+63)>>6, 4)
+}
+
 // ensure grows every word array to cover position pos. Growth copies
 // and swaps (captured views keep the old arrays, whose length covers
 // every captured position by construction).
 func (m *bitmat) ensure(pos int) {
-	need := pos>>6 + 1
-	if need <= len(m.live) {
+	if pos>>6 < len(m.live) {
 		return
 	}
-	words := len(m.live) * 2
-	if words < need {
-		words = need
-	}
-	if words < 4 {
-		words = 4
-	}
+	words := max(len(m.live)*2, wordsFor(pos+1))
 	grow := func(old []uint64) []uint64 {
 		w := make([]uint64, words)
 		copy(w, old)
 		return w
 	}
 	m.live = grow(m.live)
-	m.known = grow(m.known)
 	nattrs := make([][]uint64, len(m.attrs))
 	for i, row := range m.attrs {
 		nattrs[i] = grow(row)
@@ -146,13 +121,12 @@ func (m *bitmat) attrRow(id int) []uint64 {
 }
 
 // noteInsert records a fresh position: the record just appended at the
-// end of the page chain, with its (possibly nil) synopsis.
+// end of the page chain, with its attribute set (nil = no attributes).
 func (m *bitmat) noteInsert(syn *synopsis.Set) {
 	pos := m.slots
 	m.ensure(pos)
 	setBit(m.live, pos)
 	if syn != nil {
-		setBit(m.known, pos)
 		syn.ForEach(func(id int) {
 			setBit(m.attrRow(id), pos)
 		})
@@ -161,45 +135,68 @@ func (m *bitmat) noteInsert(syn *synopsis.Set) {
 }
 
 // noteDelete clears the live bit for (page, slot) via copy-on-write.
-// The attribute and known bits are left stale: live masks them out of
-// every kernel evaluation.
+// The attribute bits are left stale: live masks them out of every
+// kernel evaluation.
 func (m *bitmat) noteDelete(page, slot int) {
-	if page >= len(m.pageBase) {
-		return
-	}
 	pos := m.pageBase[page] + slot
-	if pos >= m.slots {
-		return
-	}
 	nlive := make([]uint64, len(m.live))
 	copy(nlive, m.live)
 	nlive[pos>>6] &^= 1 << (uint(pos) & 63)
 	m.live = nlive
 }
 
+// compact returns the matrix of the vacuumed chain: the k-th live
+// position of m becomes position k, so each attribute row is rewritten
+// by moving its live bits down to their ranks in the live bitset.
+// pageBase is the rebuilt chain's (it has no tombstones, so its slot
+// total equals m's live count). Rows left without a live bit are
+// dropped. Every array is fresh; captures of m are untouched.
+func (m *bitmat) compact(pageBase []int, slots int) bitmat {
+	nw := (m.slots + 63) >> 6
+	words := wordsFor(slots)
+	out := bitmat{live: make([]uint64, words), pageBase: pageBase, slots: slots}
+	for wi := 0; wi < slots>>6; wi++ {
+		out.live[wi] = ^uint64(0)
+	}
+	if tail := uint(slots) & 63; tail != 0 {
+		out.live[slots>>6] = 1<<tail - 1
+	}
+	// rank[wi] is the number of live positions below word wi.
+	rank := make([]int, nw)
+	n := 0
+	for wi := 0; wi < nw; wi++ {
+		rank[wi] = n
+		n += bits.OnesCount64(m.live[wi])
+	}
+	for i, row := range m.attrs {
+		var nrow []uint64
+		for wi := 0; wi < nw; wi++ {
+			live := m.live[wi]
+			for w := row[wi] & live; w != 0; w &= w - 1 {
+				below := live & (w&-w - 1)
+				npos := rank[wi] + bits.OnesCount64(below)
+				if nrow == nil {
+					nrow = make([]uint64, words)
+				}
+				nrow[npos>>6] |= 1 << (uint(npos) & 63)
+			}
+		}
+		if nrow != nil {
+			out.ids = append(out.ids, m.ids[i])
+			out.attrs = append(out.attrs, nrow)
+		}
+	}
+	return out
+}
+
 // BitmapProgram is a compiled scan predicate for the word-parallel
 // kernel: the attribute ids whose presence rows are combined, and the
 // combiner. Disjunction=true is Select's union shape ("has any of
 // these"); false is SelectWhere's conjunction shape ("has all of
-// these"). Records inserted without a synopsis (known bit clear) are
-// always candidates — the caller decodes them to test, exactly like the
-// per-record sidecar path treats a nil sidecar entry.
+// these"), whose empty form keeps every live record (ScanAll).
 type BitmapProgram struct {
 	Attrs       []int
 	Disjunction bool
-}
-
-// BitmapCand is one candidate yielded by the kernel: a live record the
-// program could not rule out, with its stored length. Known reports
-// whether the record's synopsis was known to the matrix: a known
-// candidate provably satisfies the program (presence rows are exact),
-// so the caller can skip re-testing attribute presence after decoding;
-// an unknown candidate must be decoded to test, like a nil sidecar
-// entry on the per-record path.
-type BitmapCand struct {
-	ID    RecordID
-	N     int32
-	Known bool
 }
 
 // BitmapScratch holds the kernel's reusable per-scan buffers: the
@@ -209,14 +206,15 @@ type BitmapCand struct {
 type BitmapScratch struct {
 	sets  [][]uint64
 	cand  []uint64
-	cands []BitmapCand
+	cands []RecordID
 }
 
-// run evaluates prog over the matrix and returns the candidate list
-// (aliasing sc's buffers, valid until sc is reused) plus the number of
-// 64-bit word operations performed. lens maps a page to its slot-length
-// lookup; it must report 0 for tombstoned slots.
-func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slot int) int) (cands []BitmapCand, words int64) {
+// run evaluates prog over the matrix and returns the candidates — the
+// live records the program could not rule out, in storage order
+// (aliasing sc's buffers, valid until sc is reused) — plus the number
+// of 64-bit word operations performed. Presence rows are exact, so a
+// candidate provably satisfies the program.
+func (bm *bitmat) run(prog BitmapProgram, sc *BitmapScratch) (cands []RecordID, words int64) {
 	nw := (bm.slots + 63) >> 6
 	if nw == 0 {
 		return sc.cands[:0], 0
@@ -237,7 +235,7 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 
 	// Phase 1: the candidate bitset, one word at a time —
 	//
-	//	cand = (combine(attr rows) | ~known) & live
+	//	cand = combine(attr rows) & live
 	//
 	// Word loads from the matrix are atomic: a concurrent insert may
 	// store fresh bits into the final word, which the slots mask below
@@ -265,10 +263,9 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 				w &= atomic.LoadUint64(&s[wi])
 			}
 		}
-		w |= ^atomic.LoadUint64(&bm.known[wi])
 		w &= atomic.LoadUint64(&bm.live[wi])
 		cand[wi] = w
-		words += int64(len(sets)) + 2
+		words += int64(len(sets)) + 1
 	}
 	if tail := uint(bm.slots) & 63; tail != 0 {
 		cand[nw-1] &= 1<<tail - 1
@@ -279,80 +276,63 @@ func (bm *bmView) run(prog BitmapProgram, sc *BitmapScratch, lens func(page, slo
 	out := sc.cands[:0]
 	pi := 0
 	for wi, w := range cand {
-		known := atomic.LoadUint64(&bm.known[wi])
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			bit := uint64(1) << uint(b)
-			w &^= bit
-			pos := wi<<6 + b
+		for ; w != 0; w &= w - 1 {
+			pos := wi<<6 + bits.TrailingZeros64(w)
 			for pi+1 < len(bm.pageBase) && pos >= bm.pageBase[pi+1] {
 				pi++
 			}
-			slot := pos - bm.pageBase[pi]
-			n := lens(pi, slot)
-			if n == 0 {
-				continue // tombstone; live bit should already mask these
-			}
-			out = append(out, BitmapCand{
-				ID:    RecordID{Page: pi, Slot: slot},
-				N:     int32(n),
-				Known: known&bit != 0,
-			})
+			out = append(out, RecordID{Page: pi, Slot: pos - bm.pageBase[pi]})
 		}
 	}
 	sc.cands = out
 	return out, words
 }
 
+// ErrNoMatrix is returned by ScanBitmap when the segment carries no
+// presence matrix: a cold segment rebuilt by DecodeColdSegment, which
+// exists to verify a file image and must never be scanned.
+var ErrNoMatrix = errors.New("storage: segment has no presence matrix to scan")
+
 // ScanBitmap runs the word-parallel kernel over the view: it charges
-// the partition's full visit — every page and every live record's
-// bytes, identical to a completed Scan — in one bulk operation, then
-// returns the candidate records the program could not rule out. The
-// caller decodes candidates via Record; everything else was skipped at
-// 64 records per word op. ok is false when the view predates the matrix
-// (e.g. a decoded cold image), in which case nothing is charged and the
-// caller must fall back to Scan.
+// the partition's full visit — every page, every live record, every
+// live byte, exactly (NumPages, LiveBytes, NumRecords) — in one bulk
+// operation, then returns the candidate records the program could not
+// rule out. The caller decodes candidates via Record; everything else
+// was skipped at 64 records per word op. Skipping avoids decode CPU
+// only, never simulated I/O.
 //
 // The returned slice aliases sc's buffers and is valid until sc's next
-// use. words is the number of 64-bit word operations performed.
-func (v *SegView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []BitmapCand, words int64, ok bool) {
-	if v.bm.live == nil && v.live > 0 {
-		return nil, 0, false
-	}
-	for pi := range v.pages {
-		if v.cache != nil {
+// use. words is the number of 64-bit word operations performed. The
+// error is always nil for a hot view; it is part of the signature the
+// table layer shares with ColdView.
+func (v *SegView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []RecordID, words int64, err error) {
+	if v.cache != nil {
+		for pi := range v.pages {
 			v.cache.touch(v.cacheID, pi)
 		}
 	}
 	v.stats.addRead(int64(len(v.pages)), v.bytes, int64(v.live))
-	cands, words = v.bm.run(prog, sc, func(page, slot int) int {
-		_, n := v.pages[page].slot(slot)
-		return n
-	})
-	return cands, words, true
+	cands, words = v.bm.run(prog, sc)
+	return cands, words, nil
 }
 
 // ScanBitmap is ColdView's kernel entry point. The ordinary charges are
-// identical to the hot path; candidate record lengths come from the hot
-// per-slot length table, so a frozen partition whose candidates all
-// fall in a few blocks only ever inflates those blocks (Record charges
-// the cold counters on inflation, exactly like the per-record path).
-// ok is false when the segment lacks the hot matrix or length table
-// (a decoded cold image); nothing is charged then.
-func (v ColdView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []BitmapCand, words int64, ok bool) {
+// identical to the hot path, and the matrix is hot, so a frozen
+// partition whose candidates all fall in a few blocks only ever
+// inflates those blocks (Record charges the cold counters on
+// inflation). A segment without the matrix (a decoded file image)
+// returns ErrNoMatrix and charges nothing.
+func (v ColdView) ScanBitmap(prog BitmapProgram, sc *BitmapScratch) (cands []RecordID, words int64, err error) {
 	c := v.c
-	if (c.bm.live == nil && c.live > 0) || (c.lens == nil && c.numPages > 0) {
-		return nil, 0, false
+	if c.bm.live == nil && c.live > 0 {
+		return nil, 0, ErrNoMatrix
 	}
-	for pi := 0; pi < c.numPages; pi++ {
-		if c.cache != nil {
+	if c.cache != nil {
+		for pi := 0; pi < c.numPages; pi++ {
 			c.cache.touch(c.cacheID, pi)
 		}
 	}
 	c.stats.addRead(int64(c.numPages), c.bytes, int64(c.live))
-	bm := c.bm.view()
-	cands, words = bm.run(prog, sc, func(page, slot int) int {
-		return int(c.lens[page][slot])
-	})
-	return cands, words, true
+	cands, words = c.bm.run(prog, sc)
+	return cands, words, nil
 }

@@ -95,7 +95,7 @@ func TestSegmentCacheIntegration(t *testing.T) {
 	rec := make([]byte, 3000)
 	var ids []RecordID
 	for i := 0; i < 6; i++ { // 2 per page -> 3 pages
-		id, err := seg.Insert(rec)
+		id, err := seg.InsertTagged(rec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestSegmentCacheIntegration(t *testing.T) {
 
 func TestSegmentWithoutCache(t *testing.T) {
 	seg := NewSegment(nil)
-	seg.Insert([]byte("x"))
+	seg.InsertTagged([]byte("x"), nil)
 	// Must not panic without a cache attached.
 	seg.Scan(func(RecordID, []byte) bool { return true })
 	seg.DropFromCache()
@@ -134,8 +134,8 @@ func TestTwoSegmentsShareCache(t *testing.T) {
 	a, b := NewSegment(nil), NewSegment(nil)
 	a.AttachCache(c)
 	b.AttachCache(c)
-	a.Insert([]byte("a"))
-	b.Insert([]byte("b"))
+	a.InsertTagged([]byte("a"), nil)
+	b.InsertTagged([]byte("b"), nil)
 	a.Scan(func(RecordID, []byte) bool { return true }) // miss, resident: a0
 	b.Scan(func(RecordID, []byte) bool { return true }) // miss, evicts a0
 	a.Scan(func(RecordID, []byte) bool { return true }) // miss again

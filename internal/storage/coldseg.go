@@ -11,8 +11,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-
-	"cinderella/internal/synopsis"
 )
 
 // The cold tier: a frozen partition's pages, compressed.
@@ -20,10 +18,10 @@ import (
 // A ColdSegment is the read-only replica of a vacuumed Segment. The 8 KiB
 // page images are concatenated into fixed-size runs ("blocks"), each run
 // deflate-compressed and checksummed independently, so a point read or a
-// scan decompresses only the blocks it touches. The record-synopsis
-// sidecar and the live counters stay hot (uncompressed, in memory):
-// partition pruning and the per-record decode skip keep working without
-// touching a single cold byte.
+// scan decompresses only the blocks it touches. The attribute-presence
+// matrix and the live counters stay hot (uncompressed, in memory):
+// partition pruning and the bitmap kernel's decode skip keep working
+// without touching a single cold byte.
 //
 // Reads that survive pruning go through the block-decompression
 // admission path: each visited page is touched in the shared BufferCache
@@ -75,15 +73,12 @@ type coldBlock struct {
 // plus its hot metadata. Safe for concurrent readers; it is never
 // mutated after construction (mutations thaw the partition first).
 type ColdSegment struct {
-	blocks  []coldBlock
-	sidecar [][]*synopsis.Set // hot: one row per page, nil after Decode
+	blocks []coldBlock
 	// bm is the attribute-presence bitmap matrix carried over from the
-	// frozen segment, and lens the per-slot stored lengths — both hot,
-	// so the bitmap kernel and the sidecar scan can skip frozen records
-	// without inflating a single cold block. Zero/nil after Decode (the
-	// reopen path re-freezes from replayed rows, rebuilding both).
+	// frozen segment — hot, so the bitmap kernel skips frozen records
+	// without inflating a single cold block. Zero after Decode (the
+	// reopen path re-freezes from replayed rows, rebuilding it).
 	bm        bitmat
-	lens      [][]uint16
 	numPages  int
 	live      int
 	bytes     int64 // live payload bytes (raw)
@@ -100,15 +95,14 @@ type ColdSegment struct {
 }
 
 // FreezeSegment compresses a segment's page chain into a ColdSegment,
-// retaining the sidecar and live counters hot. The caller should have
+// retaining the presence matrix and live counters hot (freeze keeps
+// slot positions, so the matrix carries over as is). The caller should have
 // vacuumed the segment first (freeze compacts by construction at the
 // table layer) and must hold exclusive access. The compression is
 // charged to the write counters like a physical copy to the cold tier.
 func FreezeSegment(s *Segment) *ColdSegment {
 	c := &ColdSegment{
-		sidecar:  make([][]*synopsis.Set, len(s.sidecar)),
 		bm:       s.bm,
-		lens:     make([][]uint16, len(s.pages)),
 		numPages: len(s.pages),
 		live:     s.live,
 		bytes:    s.bytes,
@@ -116,15 +110,6 @@ func FreezeSegment(s *Segment) *ColdSegment {
 		cache:    s.cache,
 		cacheID:  segmentIDs.Add(1),
 		resident: make(map[int][]*Page),
-	}
-	copy(c.sidecar, s.sidecar)
-	for pi, p := range s.pages {
-		ln := make([]uint16, p.NumSlots())
-		for slot := range ln {
-			_, n := p.slot(slot)
-			ln[slot] = uint16(n)
-		}
-		c.lens[pi] = ln
 	}
 	for first := 0; first < len(s.pages); first += coldBlockPages {
 		n := len(s.pages) - first
@@ -179,18 +164,6 @@ func (c *ColdSegment) CompressedBytes() int64 { return c.compBytes }
 // ColdReads returns the number of block decompressions since freeze —
 // the tiering manager's reheat signal.
 func (c *ColdSegment) ColdReads() int64 { return c.coldReads.Load() }
-
-// Synopsis returns the hot sidecar entry for id (nil when unknown).
-func (c *ColdSegment) Synopsis(id RecordID) *synopsis.Set {
-	if id.Page < 0 || id.Page >= len(c.sidecar) {
-		return nil
-	}
-	row := c.sidecar[id.Page]
-	if id.Slot < 0 || id.Slot >= len(row) {
-		return nil
-	}
-	return row[id.Slot]
-}
 
 // page returns the decompressed page pi, inflating its block on demand.
 // Decompressions charge the cold-read counters; the returned page is
@@ -260,15 +233,13 @@ func (c *ColdSegment) Read(id RecordID) ([]byte, error) {
 // mutable page.
 func (c *ColdSegment) Thaw() *Segment {
 	s := &Segment{
-		pages:   make([]*Page, c.numPages),
-		sidecar: make([][]*synopsis.Set, len(c.sidecar)),
-		bm:      c.bm,
-		stats:   c.stats,
-		live:    c.live,
-		bytes:   c.bytes,
-		cache:   c.cache,
+		pages: make([]*Page, c.numPages),
+		bm:    c.bm,
+		stats: c.stats,
+		live:  c.live,
+		bytes: c.bytes,
+		cache: c.cache,
 	}
-	copy(s.sidecar, c.sidecar)
 	for pi := 0; pi < c.numPages; pi++ {
 		s.pages[pi] = c.page(pi).clone()
 	}
@@ -303,53 +274,9 @@ func (v ColdView) NumRecords() int { return v.c.live }
 // LiveBytes returns the raw live payload bytes at freeze time.
 func (v ColdView) LiveBytes() int64 { return v.c.bytes }
 
-// Scan iterates the frozen records in storage order with the same
-// callback contract and I/O accounting as SegView.Scan, plus the
-// cold-read charges for each block actually decompressed. The sidecar
-// synopsis and stored length passed to fn come from the hot metadata
-// (sidecar + lens), so a record — or a whole page — of skips costs no
-// block decompression at all: cold bytes are charged only when fn
-// materializes a record through Record. Decoded cold images (nil lens)
-// fall back to inflating each visited page for its slot directory.
-func (v ColdView) Scan(fn func(id RecordID, n int, syn *synopsis.Set) bool) {
-	c := v.c
-	for pi := 0; pi < c.numPages; pi++ {
-		if c.cache != nil {
-			c.cache.touch(c.cacheID, pi)
-		}
-		c.stats.addRead(1, 0, 0)
-		row := c.sidecar[pi]
-		if c.lens != nil {
-			for slot, n16 := range c.lens[pi] {
-				n := int(n16)
-				if n == 0 {
-					continue // tombstone (freeze vacuums, but stay defensive)
-				}
-				c.stats.addRead(0, int64(n), 1)
-				if !fn(RecordID{Page: pi, Slot: slot}, n, row[slot]) {
-					return
-				}
-			}
-			continue
-		}
-		p := c.page(pi)
-		for slot := range row {
-			_, n := p.slot(slot)
-			if n == 0 {
-				continue
-			}
-			c.stats.addRead(0, int64(n), 1)
-			if !fn(RecordID{Page: pi, Slot: slot}, n, row[slot]) {
-				return
-			}
-		}
-	}
-}
-
-// Record returns the payload bytes of a live record previously yielded
-// by Scan. Like SegView.Record it charges no additional ordinary I/O;
-// if the record's block was evicted from the resident cache in the
-// meantime, the re-inflation is charged to the cold counters.
+// Record returns the payload bytes of a candidate yielded by ScanBitmap,
+// inflating its block on demand (charged to the cold counters). Like
+// SegView.Record it charges no additional ordinary I/O.
 func (v ColdView) Record(id RecordID) []byte {
 	p := v.c.page(id.Page)
 	off, n := p.slot(id.Slot)
@@ -362,7 +289,7 @@ func (v ColdView) Record(id RecordID) []byte {
 //	live(4) liveBytes(8) headerCRC(4)
 //	then per block: compLen(4) blockCRC(4) compressed bytes
 //
-// The sidecar is not serialized: the WAL is the row source of truth and
+// The matrix is not serialized: the WAL is the row source of truth and
 // reopen re-derives all hot metadata from the replayed rows; the file
 // exists so recovery can verify the cold tier's integrity and so the
 // compressed bytes survive independently of the log.
@@ -388,9 +315,9 @@ func (c *ColdSegment) Encode() []byte {
 // DecodeColdSegment parses and verifies a cold segment file image.
 // Every structural inconsistency — short header, bad magic, checksum
 // mismatch, truncated or oversized payload — returns an error wrapping
-// ErrColdCorrupt. The decoded segment has no sidecar (reopen re-freezes
-// from the replayed rows); it exists to verify integrity and expose the
-// frozen page images.
+// ErrColdCorrupt. The decoded segment has no presence matrix (reopen
+// re-freezes from the replayed rows); it exists to verify integrity and
+// expose the frozen page images, and refuses ScanBitmap with ErrNoMatrix.
 func DecodeColdSegment(data []byte, stats *Stats) (*ColdSegment, error) {
 	if stats == nil {
 		stats = &Stats{}

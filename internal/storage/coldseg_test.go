@@ -44,13 +44,14 @@ func TestColdFreezeScanRoundTrip(t *testing.T) {
 
 	got := make(map[RecordID]string)
 	v := cold.View()
-	v.Scan(func(id RecordID, n int, syn *synopsis.Set) bool {
-		if syn == nil {
-			t.Fatalf("record %v lost its sidecar synopsis", id)
-		}
+	var sc BitmapScratch
+	cands, _, err := v.ScanBitmap(allLive, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cands {
 		got[id] = string(v.Record(id))
-		return true
-	})
+	}
 	if len(got) != len(want) {
 		t.Fatalf("scanned %d records, want %d", len(got), len(want))
 	}
@@ -88,14 +89,11 @@ func TestColdThawPreservesRecordIDs(t *testing.T) {
 		if string(got) != rec {
 			t.Fatalf("record %v changed across freeze/thaw", id)
 		}
-		if thawed.Synopsis(id) == nil {
-			t.Fatalf("record %v lost its sidecar across freeze/thaw", id)
-		}
 	}
 
 	// The thawed segment is mutable and must not corrupt still-live
 	// cold views: append and delete, then verify the cold view again.
-	if _, err := thawed.Insert([]byte("appended-after-thaw")); err != nil {
+	if _, err := thawed.InsertTagged([]byte("appended-after-thaw"), nil); err != nil {
 		t.Fatal(err)
 	}
 	var anyID RecordID
@@ -106,17 +104,19 @@ func TestColdThawPreservesRecordIDs(t *testing.T) {
 	if err := thawed.Delete(anyID); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
 	v := cold.View()
-	v.Scan(func(id RecordID, _ int, _ *synopsis.Set) bool {
+	var sc BitmapScratch
+	cands, _, err := v.ScanBitmap(allLive, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range cands {
 		if string(v.Record(id)) != want[id] {
 			t.Fatalf("cold view of %v changed after thawed-segment mutation", id)
 		}
-		n++
-		return true
-	})
-	if n != len(want) {
-		t.Fatalf("cold view sees %d records after mutations, want %d", n, len(want))
+	}
+	if len(cands) != len(want) {
+		t.Fatalf("cold view sees %d records after mutations, want %d", len(cands), len(want))
 	}
 }
 

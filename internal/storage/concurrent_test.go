@@ -16,7 +16,7 @@ func TestSegmentConcurrentReaders(t *testing.T) {
 	seg.AttachCache(NewBufferCache(4))
 	var ids []RecordID
 	for i := 0; i < 500; i++ {
-		id, err := seg.Insert([]byte(fmt.Sprintf("record-%04d-%s", i, "padding-padding-padding")))
+		id, err := seg.InsertTagged([]byte(fmt.Sprintf("record-%04d-%s", i, "padding-padding-padding")), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

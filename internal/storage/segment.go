@@ -78,37 +78,30 @@ func (s *Stats) addWrite(pages, bytes int64) {
 // Segment is a heap file: an append-oriented chain of slotted pages. One
 // segment backs one partition.
 //
-// Alongside the pages the segment maintains the record-synopsis sidecar:
-// one attribute-synopsis pointer per slot, parallel to the page chain.
-// Scans over a published view test a query against the sidecar and decode
-// only records that can match — a word-AND instead of a full entity
-// decode for every non-matching record. A nil sidecar entry means
-// "unknown, decode to test"; tombstones are detected from the slot
-// directory (stored length 0), never from the sidecar.
+// Alongside the pages the segment maintains the attribute-presence
+// matrix (see bitmap.go): one bitset per attribute over slot positions,
+// which lets scans over a published view evaluate a query 64 records
+// per word op and decode only records that can match.
 //
-// Concurrency: mutations (Insert, Delete, Vacuum) require exclusive
-// access. Lock-free readers never touch a Segment directly — they scan a
-// SegView published by View() (see view.go), which stays valid under
-// concurrent mutation because mutations follow two rules:
+// Concurrency: mutations (InsertTagged, Delete, Vacuum) require
+// exclusive access. Lock-free readers never touch a Segment directly —
+// they scan a SegView published by View() (see view.go), which stays
+// valid under concurrent mutation because mutations follow two rules:
 //
 //   - Inserts only append: a new slot, its payload (written below the
-//     previous free offset), and the page header are the only bytes
-//     touched, and no published view reads any of them — views bound
-//     their iteration by the slot counts captured at View() time.
-//   - Everything else copies: Delete clones the 8 KiB page and its
-//     sidecar row and swaps the clones in; Vacuum rebuilds the chain from
-//     scratch. Pages and rows reachable from a view are never mutated.
+//     previous free offset), the page header, and matrix bits at a fresh
+//     position are the only memory touched, and no published view reads
+//     any of it — views bound their iteration by the position count
+//     captured at View() time.
+//   - Everything else copies: Delete clones the 8 KiB page and the live
+//     bitset and swaps the clones in; Vacuum rebuilds the chain and the
+//     matrix from scratch. Nothing reachable from a view is mutated.
 //
 // The Stats counters and the optional BufferCache are internally
-// synchronized, so locked readers (Read, Scan) may also run concurrently
-// with each other, as the table layer's locked query mode relies on.
+// synchronized, so callers holding a shared lock (Read, Scan) may run
+// concurrently with each other.
 type Segment struct {
 	pages   []*Page
-	sidecar [][]*synopsis.Set // per page: one entry per slot, nil = unknown
-	// bm is the attribute-presence bitmap matrix (see bitmap.go): the
-	// sidecar transposed into attribute-major bitsets so snapshot scans
-	// can evaluate a query 64 records per word op. Maintained in
-	// lockstep with the sidecar by InsertTagged/Delete/Vacuum.
 	bm      bitmat
 	stats   *Stats
 	live    int   // live record count
@@ -126,47 +119,42 @@ func NewSegment(stats *Stats) *Segment {
 	return &Segment{stats: stats}
 }
 
-// Insert appends a record and returns its id. Insertion tries the last
-// page first and allocates a new page when it does not fit, matching heap
-// file append behaviour. The sidecar entry is unknown (nil); use
-// InsertTagged to attach the record's attribute synopsis.
-func (s *Segment) Insert(rec []byte) (RecordID, error) {
-	return s.InsertTagged(rec, nil)
-}
-
-// InsertTagged appends a record together with its attribute synopsis,
-// which snapshot scans use to skip decoding records irrelevant to a
-// query. The synopsis is retained by pointer and must not be mutated
-// afterwards (the table layer's entity synopses are write-once).
+// InsertTagged appends a record together with its attribute synopsis
+// (nil = no attributes) and returns its id. Insertion tries the last
+// page first and allocates a new page when the record does not fit,
+// matching heap file append behaviour. The synopsis is transposed into
+// the presence matrix and not retained.
 func (s *Segment) InsertTagged(rec []byte, syn *synopsis.Set) (RecordID, error) {
-	if len(rec) > MaxRecordSize {
-		return RecordID{}, ErrRecordTooLarge
-	}
-	if n := len(s.pages); n > 0 {
-		if slot, err := s.pages[n-1].Insert(rec); err == nil {
-			s.sidecar[n-1] = append(s.sidecar[n-1], syn)
-			s.bm.noteInsert(syn)
-			s.noteInsert(rec)
-			return RecordID{Page: n - 1, Slot: slot}, nil
-		}
-	}
-	p := NewPage()
-	slot, err := p.Insert(rec)
+	id, err := s.place(rec)
 	if err != nil {
 		return RecordID{}, err
 	}
-	s.pages = append(s.pages, p)
-	s.sidecar = append(s.sidecar, append(make([]*synopsis.Set, 0, 8), syn))
-	s.bm.notePage()
+	if id.Slot == 0 {
+		s.bm.notePage() // slots are never reused: slot 0 means a fresh page
+	}
 	s.bm.noteInsert(syn)
-	s.noteInsert(rec)
-	return RecordID{Page: len(s.pages) - 1, Slot: slot}, nil
+	return id, nil
 }
 
-func (s *Segment) noteInsert(rec []byte) {
+// place writes rec into the page chain and updates the live counters,
+// leaving the matrix to the caller.
+func (s *Segment) place(rec []byte) (RecordID, error) {
+	if len(rec) > MaxRecordSize {
+		return RecordID{}, ErrRecordTooLarge
+	}
+	n := len(s.pages)
+	if n == 0 || !s.pages[n-1].Fits(len(rec)) {
+		s.pages = append(s.pages, NewPage())
+		n++
+	}
+	slot, err := s.pages[n-1].Insert(rec)
+	if err != nil {
+		return RecordID{}, err
+	}
 	s.live++
 	s.bytes += int64(len(rec))
 	s.stats.addWrite(1, int64(len(rec)))
+	return RecordID{Page: n - 1, Slot: slot}, nil
 }
 
 // Read returns the record bytes for id. The returned slice aliases page
@@ -184,7 +172,7 @@ func (s *Segment) Read(id RecordID) ([]byte, error) {
 	return rec, nil
 }
 
-// Delete tombstones the record for id. The page and its sidecar row are
+// Delete tombstones the record for id. The page and the live bitset are
 // copied, mutated, and swapped in — published views keep reading the
 // pre-delete state.
 func (s *Segment) Delete(id RecordID) error {
@@ -200,14 +188,7 @@ func (s *Segment) Delete(id RecordID) error {
 	if !np.Delete(id.Slot) {
 		return ErrNotFound
 	}
-	row := s.sidecar[id.Page]
-	nrow := make([]*synopsis.Set, len(row))
-	copy(nrow, row)
-	if id.Slot < len(nrow) {
-		nrow[id.Slot] = nil
-	}
 	s.pages[id.Page] = np
-	s.sidecar[id.Page] = nrow
 	s.bm.noteDelete(id.Page, id.Slot)
 	s.live--
 	s.bytes -= n
@@ -235,32 +216,16 @@ func (s *Segment) Scan(fn func(id RecordID, rec []byte) bool) {
 	}
 }
 
-// Synopsis returns the sidecar entry for id (nil when unknown or id is
-// not live).
-func (s *Segment) Synopsis(id RecordID) *synopsis.Set {
-	if id.Page < 0 || id.Page >= len(s.sidecar) {
-		return nil
-	}
-	row := s.sidecar[id.Page]
-	if id.Slot < 0 || id.Slot >= len(row) {
-		return nil
-	}
-	return row[id.Slot]
-}
-
 // Vacuum rewrites the segment without tombstones, reclaiming the space of
-// deleted records and dropping empty pages. Sidecar entries move with
-// their records. Record ids change; the returned map gives old → new ids
-// for the caller to remap its indexes. The rewrite is charged to the
-// write counters like a physical copy. Published views keep the old page
-// chain.
+// deleted records and dropping empty pages. The presence matrix moves
+// with the records by position compaction (bitmat.compact). Record ids
+// change; the returned map gives old → new ids for the caller to remap
+// its indexes. The rewrite is charged to the write counters like a
+// physical copy. Published views keep the old page chain and matrix.
 func (s *Segment) Vacuum() map[RecordID]RecordID {
 	remap := make(map[RecordID]RecordID, s.live)
 	old := s.pages
-	oldSidecar := s.sidecar
 	s.pages = nil
-	s.sidecar = nil
-	s.bm = bitmat{} // rebuilt by the re-inserts below
 	s.live = 0
 	s.bytes = 0
 	s.DropFromCache()
@@ -270,24 +235,24 @@ func (s *Segment) Vacuum() map[RecordID]RecordID {
 		// chain's pages in the cache.
 		s.cacheID = segmentIDs.Add(1)
 	}
+	var pageBase []int
 	for pi, p := range old {
-		row := oldSidecar[pi]
 		for slot := 0; slot < p.NumSlots(); slot++ {
 			rec, ok := p.Read(slot)
 			if !ok {
 				continue
 			}
-			var syn *synopsis.Set
-			if slot < len(row) {
-				syn = row[slot]
-			}
-			nid, err := s.InsertTagged(rec, syn)
+			nid, err := s.place(rec)
 			if err != nil {
 				panic("storage: vacuum re-insert failed: " + err.Error())
+			}
+			if nid.Slot == 0 {
+				pageBase = append(pageBase, len(remap))
 			}
 			remap[RecordID{Page: pi, Slot: slot}] = nid
 		}
 	}
+	s.bm = s.bm.compact(pageBase, s.live)
 	return remap
 }
 

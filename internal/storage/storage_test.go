@@ -125,7 +125,7 @@ func TestSegmentInsertReadDelete(t *testing.T) {
 	seg := NewSegment(st)
 	var ids []RecordID
 	for i := 0; i < 100; i++ {
-		id, err := seg.Insert([]byte(fmt.Sprintf("record-%03d", i)))
+		id, err := seg.InsertTagged([]byte(fmt.Sprintf("record-%03d", i)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestSegmentSpansPages(t *testing.T) {
 	seg := NewSegment(nil)
 	rec := make([]byte, 2000)
 	for i := 0; i < 20; i++ {
-		if _, err := seg.Insert(rec); err != nil {
+		if _, err := seg.InsertTagged(rec, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestSegmentScan(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s := fmt.Sprintf("r%02d", i)
 		want = append(want, s)
-		if _, err := seg.Insert([]byte(s)); err != nil {
+		if _, err := seg.InsertTagged([]byte(s), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestSegmentScan(t *testing.T) {
 func TestSegmentScanEarlyStop(t *testing.T) {
 	seg := NewSegment(nil)
 	for i := 0; i < 10; i++ {
-		seg.Insert([]byte("x"))
+		seg.InsertTagged([]byte("x"), nil)
 	}
 	n := 0
 	seg.Scan(func(RecordID, []byte) bool {
@@ -216,7 +216,7 @@ func TestSegmentScanSkipsDeleted(t *testing.T) {
 	seg := NewSegment(nil)
 	var ids []RecordID
 	for i := 0; i < 10; i++ {
-		id, _ := seg.Insert([]byte{byte('0' + i)})
+		id, _ := seg.InsertTagged([]byte{byte('0' + i)}, nil)
 		ids = append(ids, id)
 	}
 	seg.Delete(ids[3])
@@ -237,8 +237,8 @@ func TestSegmentScanSkipsDeleted(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	st := &Stats{}
 	seg := NewSegment(st)
-	seg.Insert(make([]byte, 100))
-	seg.Insert(make([]byte, 200))
+	seg.InsertTagged(make([]byte, 100), nil)
+	seg.InsertTagged(make([]byte, 200), nil)
 	_, pw, _, bw, _ := st.Snapshot()
 	if pw != 2 || bw != 300 {
 		t.Fatalf("writes: pages=%d bytes=%d", pw, bw)
@@ -260,8 +260,8 @@ func TestStatsAccounting(t *testing.T) {
 func TestSegmentSharedStats(t *testing.T) {
 	st := &Stats{}
 	a, b := NewSegment(st), NewSegment(st)
-	a.Insert(make([]byte, 10))
-	b.Insert(make([]byte, 20))
+	a.InsertTagged(make([]byte, 10), nil)
+	b.InsertTagged(make([]byte, 20), nil)
 	_, pw, _, bw, _ := st.Snapshot()
 	if pw != 2 || bw != 30 {
 		t.Fatalf("shared stats: pages=%d bytes=%d", pw, bw)
@@ -310,7 +310,7 @@ func TestPropSegmentLiveBytesInvariant(t *testing.T) {
 		for _, op := range ops {
 			if op%3 != 0 || len(ids) == 0 {
 				n := int(op%300) + 1
-				id, err := seg.Insert(make([]byte, n))
+				id, err := seg.InsertTagged(make([]byte, n), nil)
 				if err != nil {
 					return false
 				}
@@ -340,7 +340,7 @@ func BenchmarkSegmentInsert(b *testing.B) {
 	rec := make([]byte, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := seg.Insert(rec); err != nil {
+		if _, err := seg.InsertTagged(rec, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func BenchmarkSegmentScan(b *testing.B) {
 	seg := NewSegment(nil)
 	rec := make([]byte, 120)
 	for i := 0; i < 10000; i++ {
-		seg.Insert(rec)
+		seg.InsertTagged(rec, nil)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -367,7 +367,7 @@ func TestSegmentVacuum(t *testing.T) {
 	rec := make([]byte, 2000) // 4 per page
 	var ids []RecordID
 	for i := 0; i < 20; i++ {
-		id, _ := seg.Insert(rec)
+		id, _ := seg.InsertTagged(rec, nil)
 		ids = append(ids, id)
 	}
 	// Delete 3 of every 4 records: pages become mostly dead.
@@ -408,7 +408,7 @@ func TestSegmentVacuumEmpty(t *testing.T) {
 	if remap := seg.Vacuum(); len(remap) != 0 {
 		t.Fatal("vacuum of empty segment returned mappings")
 	}
-	id, _ := seg.Insert([]byte("x"))
+	id, _ := seg.InsertTagged([]byte("x"), nil)
 	seg.Delete(id)
 	seg.Vacuum()
 	if seg.NumPages() != 0 || seg.NumRecords() != 0 {

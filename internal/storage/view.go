@@ -1,36 +1,23 @@
 package storage
 
-import (
-	"cinderella/internal/synopsis"
-)
-
 // SegView is an immutable snapshot of a segment: the page chain, the
-// record-synopsis sidecar, and the live counters as of View(). It stays
-// valid — and returns exactly the captured state — under any concurrent
-// mutation of the segment, without locks:
+// attribute-presence matrix, and the live counters as of View(). It
+// stays valid — and returns exactly the captured state — under any
+// concurrent mutation of the segment, without locks:
 //
-//   - The view owns private copies of the outer page and sidecar arrays,
-//     so the segment may grow or swap elements freely.
-//   - Iteration is bounded by the per-page slot counts captured in the
-//     sidecar rows (len(row) == slots used at capture time), so the
-//     mutable page header and any appended slots/payloads are never read.
-//   - Deletes and vacuums copy pages instead of mutating them, so every
-//     page (and sidecar row) reachable from a view is frozen.
+//   - The view owns a private copy of the outer page array, so the
+//     segment may grow or swap elements freely.
+//   - Iteration is bounded by the matrix capture: the kernel walks only
+//     positions below the captured slot count and maps them to pages
+//     through the captured pageBase, so the mutable page header and any
+//     appended slots/payloads are never read.
+//   - Deletes and vacuums copy pages (and the live bitset) instead of
+//     mutating them, so everything reachable from a view is frozen.
 //
-// I/O accounting is identical to Segment.Scan: one page read per visited
-// page, and each live record's bytes — whether or not the caller decides
-// to materialize them. Both skip paths honor that contract: the
-// per-record sidecar skip charges each visited record as it goes, and
-// the word-parallel bitmap kernel (ScanBitmap) charges the same totals
-// — every page, every live record, every live byte — in one bulk
-// operation before pruning. A skip of either kind avoids decode CPU
-// only, never simulated I/O, which keeps QueryReport and EFFICIENCY
-// byte-identical across the locked, snapshot-sidecar, and
-// snapshot-bitmap read paths.
+// ScanBitmap (bitmap.go) is the view's one scan entry point.
 type SegView struct {
 	pages   []*Page
-	rows    [][]*synopsis.Set
-	bm      bmView
+	bm      bitmat
 	live    int
 	bytes   int64
 	stats   *Stats
@@ -44,12 +31,9 @@ type SegView struct {
 func (s *Segment) View() SegView {
 	pages := make([]*Page, len(s.pages))
 	copy(pages, s.pages)
-	rows := make([][]*synopsis.Set, len(s.sidecar))
-	copy(rows, s.sidecar)
 	return SegView{
 		pages:   pages,
-		rows:    rows,
-		bm:      s.bm.view(),
+		bm:      s.bm,
 		live:    s.live,
 		bytes:   s.bytes,
 		stats:   s.stats,
@@ -58,50 +42,16 @@ func (s *Segment) View() SegView {
 	}
 }
 
-// NumPages returns the number of pages captured in the view.
-func (v *SegView) NumPages() int { return len(v.pages) }
-
 // NumRecords returns the live record count at capture time.
 func (v *SegView) NumRecords() int { return v.live }
 
 // LiveBytes returns the live payload bytes at capture time.
 func (v *SegView) LiveBytes() int64 { return v.bytes }
 
-// Scan iterates the view's live records in storage order, charging reads
-// exactly like Segment.Scan: one page read per page, plus each live
-// record's bytes and a record-read at the moment it is visited. For each
-// live record fn receives the record id, the stored length, and the
-// sidecar synopsis (nil = unknown); fn fetches the payload via Record
-// only when it decides to decode, so sidecar-pruned records cost a
-// slot-directory read and a word-AND instead of a decode — the skip
-// saves decode CPU while the I/O charge for the visit stands. A scan
-// that runs to completion therefore charges exactly (NumPages,
-// LiveBytes, NumRecords), the same totals ScanBitmap charges up front.
-// Iteration stops early if fn returns false.
-func (v *SegView) Scan(fn func(id RecordID, n int, syn *synopsis.Set) bool) {
-	for pi, p := range v.pages {
-		if v.cache != nil {
-			v.cache.touch(v.cacheID, pi)
-		}
-		v.stats.addRead(1, 0, 0)
-		row := v.rows[pi]
-		for slot := range row {
-			_, n := p.slot(slot)
-			if n == 0 {
-				continue // tombstone
-			}
-			v.stats.addRead(0, int64(n), 1)
-			if !fn(RecordID{Page: pi, Slot: slot}, n, row[slot]) {
-				return
-			}
-		}
-	}
-}
-
-// Record returns the payload bytes of a live record previously yielded by
-// Scan. The slice aliases frozen page memory and stays valid for the
-// view's lifetime. No additional I/O is charged: Scan already accounted
-// for the record when it visited the slot.
+// Record returns the payload bytes of a candidate yielded by ScanBitmap.
+// The slice aliases frozen page memory and stays valid for the view's
+// lifetime. No additional I/O is charged: ScanBitmap already accounted
+// for every live record of the view.
 func (v *SegView) Record(id RecordID) []byte {
 	off, n := v.pages[id.Page].slot(id.Slot)
 	return v.pages[id.Page].buf[off : off+n]

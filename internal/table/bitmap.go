@@ -1,29 +1,27 @@
 package table
 
 import (
+	"fmt"
 	"sync"
 
+	"cinderella/internal/entity"
 	"cinderella/internal/storage"
-	"cinderella/internal/synopsis"
 )
 
-// The bitmap-accelerated snapshot scan path.
+// The partition scan.
 //
-// Snapshot Select/SelectWhere scans default to the word-parallel kernel
-// (storage.ScanBitmap): the query compiles into a BitmapProgram over
-// the partition's attribute-presence matrix, the kernel yields the
+// Every query scans its surviving partitions with the word-parallel
+// kernel (storage.ScanBitmap): the query compiles into a BitmapProgram
+// over the partition's attribute-presence matrix, the kernel yields the
 // candidate records 64 per word op, and only candidates are decoded.
-// The decode set — and therefore the results, every QueryReport field,
-// and every Stats delta — is bit-identical to the per-record sidecar
-// scan (scanSnapPart/scanSnapPartWhere), which remains the fallback for
-// views that predate the matrix and the differential-testing oracle.
-// SetBitmapScans(false) forces the sidecar path everywhere; locked mode
-// (SetLockedReads) is untouched and stays the full-decode baseline.
+// The kernel charges the partition's full visit up front, so the I/O
+// accounting — QueryReport and every Stats delta — is that of a scan
+// that read every live record; the skip saves decode CPU only.
 
 // scanScratch is one partition scan's pooled working set: the kernel's
 // buffers (resolved attribute rows, candidate bitset, candidate list)
-// plus the hit buffer. Pooling them makes the steady-state bitmap scan
-// loop allocation-free (see TestBitmapScanSteadyStateZeroAlloc).
+// plus the hit buffer. Pooling them makes the steady-state scan loop
+// allocation-free (see TestBitmapScanSteadyStateZeroAlloc).
 type scanScratch struct {
 	bm   storage.BitmapScratch
 	hits []Result
@@ -31,129 +29,43 @@ type scanScratch struct {
 
 var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
-func getScanScratch() *scanScratch {
-	return scanScratchPool.Get().(*scanScratch)
-}
-
-// releaseScanScratches returns every bitmap-scanned partition's scratch
-// to the pool. Callers must be done with the hit slices (mergeScans has
-// copied them out). Hit entries are cleared so pooled buffers do not
-// pin decoded entities.
-func releaseScanScratches(parts []partScan) {
-	for i := range parts {
-		sc := parts[i].scratch
-		if sc == nil {
-			continue
-		}
-		parts[i].scratch = nil
-		parts[i].hits = nil
-		clear(sc.hits)
-		sc.hits = sc.hits[:0]
-		scanScratchPool.Put(sc)
-	}
-}
-
-// selectProgram compiles an attribute-set query (Select's union shape)
-// for the kernel.
-func selectProgram(q *synopsis.Set) storage.BitmapProgram {
-	return storage.BitmapProgram{Attrs: q.Elements(nil), Disjunction: true}
-}
-
-// whereProgram compiles a predicate conjunction's required-attribute
-// set for the kernel.
-func whereProgram(need *synopsis.Set) storage.BitmapProgram {
-	return storage.BitmapProgram{Attrs: need.Elements(nil)}
-}
-
-// scanSnapPartBitmap is the bitmap-kernel counterpart of scanSnapPart:
-// one partition snapshot, attribute-set query q. ok=false means the
-// view predates the matrix (nothing was charged); the caller falls back
-// to the per-record path.
-func scanSnapPartBitmap(ps *partSnap, q *synopsis.Set, prog storage.BitmapProgram) (partScan, bool) {
-	scratch := getScanScratch()
+// scanPart scans one partition snapshot: prog selects the candidate
+// records, each candidate is decoded, and match (nil accepts all)
+// decides whether it is a hit. The returned partScan owns a pooled
+// scratch until settle releases it.
+func scanPart(ps *partSnap, prog storage.BitmapProgram, match func(*entity.Entity) bool) partScan {
+	scratch := scanScratchPool.Get().(*scanScratch)
 	v := ps.reader()
-	cands, words, ok := v.ScanBitmap(prog, &scratch.bm)
-	if !ok {
-		scanScratchPool.Put(scratch)
-		return partScan{}, false
+	cands, words, err := v.ScanBitmap(prog, &scratch.bm)
+	if err != nil {
+		panic(fmt.Sprintf("table: scanning partition %d: %v", ps.pid, err))
 	}
-	sc := partScan{pid: ps.pid, scratch: scratch, bitmap: true, bitmapWords: words}
-	sc.hits = scratch.hits[:0]
+	// Every live record was visited (and charged); candidates are
+	// decoded, the rest were skipped by the kernel.
+	sc := partScan{
+		pid:         ps.pid,
+		scratch:     scratch,
+		scanned:     v.NumRecords(),
+		bytesRead:   v.LiveBytes(),
+		decoded:     len(cands),
+		bitmapWords: words,
+	}
+	hits := scratch.hits[:0]
 	var bytesDec int64
-	for i := range cands {
-		id, n := cands[i].ID, int64(cands[i].N)
-		eid, e, err := decodeRecord(v.Record(id))
+	for _, id := range cands {
+		rec := v.Record(id)
+		eid, e, err := decodeRecord(rec)
 		if err != nil {
-			panic("table: corrupt record during bitmap scan: " + err.Error())
+			panic(fmt.Sprintf("table: corrupt record in partition %d: %v", ps.pid, err))
 		}
-		bytesDec += n
-		// A known candidate provably intersects q (the matrix rows are the
-		// entities' exact attribute sets); only unknown-synopsis records
-		// need the post-decode test — mirroring scanSnapPart.
-		if q == nil || cands[i].Known || synopsis.Intersects(e.Synopsis(), q) {
-			sc.hits = append(sc.hits, Result{ID: eid, Entity: e})
-			sc.bytesHit += n
+		bytesDec += int64(len(rec))
+		if match == nil || match(e) {
+			hits = append(hits, Result{ID: eid, Entity: e})
+			sc.bytesHit += int64(len(rec))
 		}
 	}
-	scratch.hits = sc.hits
-	sc.finishBitmap(v, len(cands), bytesDec)
-	return sc, true
-}
-
-// scanSnapPartWhereBitmap is the bitmap-kernel counterpart of
-// scanSnapPartWhere: candidates have (or might have — nil sidecar) all
-// predicate attributes; each is decoded and tested against the full
-// conjunction.
-func scanSnapPartWhereBitmap(ps *partSnap, preds []Pred, prog storage.BitmapProgram) (partScan, bool) {
-	scratch := getScanScratch()
-	v := ps.reader()
-	cands, words, ok := v.ScanBitmap(prog, &scratch.bm)
-	if !ok {
-		scanScratchPool.Put(scratch)
-		return partScan{}, false
-	}
-	sc := partScan{pid: ps.pid, scratch: scratch, bitmap: true, bitmapWords: words}
-	sc.hits = scratch.hits[:0]
-	var bytesDec int64
-	for i := range cands {
-		id, n := cands[i].ID, int64(cands[i].N)
-		eid, e, err := decodeRecord(v.Record(id))
-		if err != nil {
-			panic("table: corrupt record during bitmap scan: " + err.Error())
-		}
-		bytesDec += n
-		if entityMatches(e, preds) {
-			sc.hits = append(sc.hits, Result{ID: eid, Entity: e})
-			sc.bytesHit += n
-		}
-	}
-	scratch.hits = sc.hits
-	sc.finishBitmap(v, len(cands), bytesDec)
-	return sc, true
-}
-
-// finishBitmap fills the visit counters from the bulk-charged view
-// state: every live record was visited (and charged), candidates were
-// decoded, the rest were skipped by the kernel.
-func (sc *partScan) finishBitmap(v recView, decoded int, bytesDec int64) {
-	sc.scanned = v.NumRecords()
-	sc.bytesRead = v.LiveBytes()
-	sc.decoded = decoded
-	sc.skipped = sc.scanned - decoded
+	scratch.hits, sc.hits = hits, hits
+	sc.skipped = sc.scanned - sc.decoded
 	sc.bytesSkip = sc.bytesRead - bytesDec
-	sc.bitmapHits = int64(decoded)
+	return sc
 }
-
-// SetBitmapScans switches snapshot Select/SelectWhere scans between the
-// word-parallel bitmap kernel (default, true) and the per-record
-// sidecar path. The sidecar path is retained as the comparison baseline
-// for benchmarks and the differential equivalence tests; results,
-// QueryReport, and Stats deltas are identical in both modes. Locked
-// mode (SetLockedReads) is unaffected.
-func (t *Table) SetBitmapScans(on bool) {
-	t.bitmapScans.Store(on)
-}
-
-// BitmapScans reports whether the bitmap kernel is active for snapshot
-// scans.
-func (t *Table) BitmapScans() bool { return t.bitmapScans.Load() }

@@ -3,27 +3,27 @@ package table
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"cinderella/internal/core"
 	"cinderella/internal/entity"
+	"cinderella/internal/obs"
 	"cinderella/internal/storage"
 	"cinderella/internal/synopsis"
 )
 
-// buildDiffTable deterministically grows one table for the differential
-// property test: random entities, churn (deletes and updates), and one
-// frozen partition. Driving several tables with the same seed yields
-// byte-identical tables, so cold-tier counters (which depend on the
-// stateful resident-block LRU) can be compared across read modes
-// without one mode's scans warming another's cache.
-func buildDiffTable(seed int64) (*Table, *storage.Stats) {
+// buildOracleTable deterministically grows one table for the oracle
+// property test: random entities, churn (deletes and updates), and two
+// frozen partitions, so every probe crosses both tiers. The table
+// carries a telemetry registry so the decode set is checked too.
+func buildOracleTable(seed int64) *Table {
 	rng := rand.New(rand.NewSource(seed))
-	stats := &storage.Stats{}
 	tbl := New(Config{
 		Partitioner: core.NewCinderella(core.Config{Weight: 0.35, MaxSize: 60}),
-		Stats:       stats,
+		Obs:         obs.New(obs.Options{}),
 	})
 	var ids []core.EntityID
 	for i := 0; i < 600; i++ {
@@ -37,56 +37,15 @@ func buildDiffTable(seed int64) (*Table, *storage.Stats) {
 			tbl.Update(id, randomTestEntity(rng))
 		}
 	}
-	// Freeze the two largest partitions so every probe crosses both
-	// tiers. Partition growth is deterministic, so every same-seed table
-	// freezes the same data.
+	// Freeze the two largest partitions.
 	parts := tbl.Partitions()
-	for f := 0; f < 2 && f < len(parts); f++ {
-		best := -1
-		for i, pv := range parts {
-			if pv.Entities == 0 {
-				continue
-			}
-			if best < 0 || pv.Entities > parts[best].Entities {
-				best = i
-			}
+	sort.Slice(parts, func(i, j int) bool { return parts[i].Entities > parts[j].Entities })
+	for _, pv := range parts[:2] {
+		if !tbl.FreezePartition(pv.ID) {
+			panic("fixture: freeze refused")
 		}
-		if best < 0 {
-			break
-		}
-		tbl.FreezePartition(parts[best].ID)
-		parts = append(parts[:best], parts[best+1:]...)
 	}
-	return tbl, stats
-}
-
-// diffMode is one arm of the differential test: a read-mode
-// configuration applied to its own identically-driven table.
-type diffMode struct {
-	name  string
-	tbl   *Table
-	stats *storage.Stats
-}
-
-func diffModes(seed int64) []diffMode {
-	modes := []diffMode{{name: "bitmap"}, {name: "sidecar"}, {name: "locked"}}
-	for i := range modes {
-		modes[i].tbl, modes[i].stats = buildDiffTable(seed)
-	}
-	modes[1].tbl.SetBitmapScans(false)
-	modes[2].tbl.SetLockedReads(true)
-	return modes
-}
-
-// ioColdDelta runs fn and returns the table's ordinary I/O counter
-// deltas (pages, bytes, records read) plus the cold-tier deltas.
-func ioColdDelta(stats *storage.Stats, fn func()) [5]int64 {
-	p0, _, b0, _, r0 := stats.Snapshot()
-	cp0, cb0 := stats.ColdSnapshot()
-	fn()
-	p1, _, b1, _, r1 := stats.Snapshot()
-	cp1, cb1 := stats.ColdSnapshot()
-	return [5]int64{p1 - p0, b1 - b0, r1 - r0, cp1 - cp0, cb1 - cb0}
+	return tbl
 }
 
 func sameResults(a, b []Result) bool {
@@ -101,76 +60,38 @@ func sameResults(a, b []Result) bool {
 	return true
 }
 
-// TestBitmapDifferentialEquivalence is the three-way property test: on
-// several seeds, the bitmap kernel, the per-record sidecar path, and
-// the locked full-decode baseline return bit-identical results,
-// QueryReport counters, and simulated-I/O deltas — ordinary and
-// cold-tier — for Select and SelectWhere probes spanning both storage
-// tiers.
-func TestBitmapDifferentialEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 17, 99} {
+// TestQueriesMatchOracle is the read path's property test: on several
+// seeds, Select, SelectWhere and ScanAll over a churned table spanning
+// both storage tiers return exactly the brute-force oracle's results,
+// QueryReport, simulated-I/O deltas — ordinary and cold-tier — and
+// decode set (see oracle_test.go).
+func TestQueriesMatchOracle(t *testing.T) {
+	for _, seed := range []int64{1, 3, 7, 17, 42, 99} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			modes := diffModes(seed)
-			if !modes[0].tbl.BitmapScans() {
-				t.Fatal("bitmap scans not on by default")
-			}
-
-			type outcome struct {
-				res []Result
-				rep QueryReport
-				io  [5]int64
-			}
-			probe := func(run func(*Table) ([]Result, QueryReport)) [3]outcome {
-				var out [3]outcome
-				for i, m := range modes {
-					out[i].io = ioColdDelta(m.stats, func() {
-						out[i].res, out[i].rep = run(m.tbl)
-					})
-				}
-				return out
-			}
-			check := func(desc string, out [3]outcome) {
-				t.Helper()
-				for i := 1; i < len(modes); i++ {
-					if !sameResults(out[0].res, out[i].res) {
-						t.Fatalf("%s: %s returned %d hits, %s %d",
-							desc, modes[0].name, len(out[0].res), modes[i].name, len(out[i].res))
-					}
-					if out[0].rep != out[i].rep {
-						t.Fatalf("%s: report %s=%+v, %s=%+v",
-							desc, modes[0].name, out[0].rep, modes[i].name, out[i].rep)
-					}
-					if out[0].io != out[i].io {
-						t.Fatalf("%s: io delta %s=%v, %s=%v",
-							desc, modes[0].name, out[0].io, modes[i].name, out[i].io)
-					}
-				}
-			}
-
+			tbl := buildOracleTable(seed)
 			for p := 0; p < 12; p++ {
 				q := synopsis.Of(p%12, (p+5)%12)
-				check(fmt.Sprintf("select probe %d", p), probe(func(tbl *Table) ([]Result, QueryReport) {
-					return tbl.SelectWithReport(q)
-				}))
+				checkOracle(t, fmt.Sprintf("select probe %d", p), tbl, oracleSelect(q),
+					func() ([]Result, QueryReport) { return tbl.SelectWithReport(q) })
 
 				preds := []Pred{{Attr: p % 12, Op: CmpOp(p % 5), Value: entity.Int(int64(p * 9 % 100))}}
 				if p%3 == 0 {
 					preds = append(preds, Pred{Attr: (p + 3) % 12, Op: Ge, Value: entity.Int(0)})
 				}
-				check(fmt.Sprintf("where probe %d", p), probe(func(tbl *Table) ([]Result, QueryReport) {
-					return tbl.SelectWhere(preds)
-				}))
+				checkOracle(t, fmt.Sprintf("where probe %d", p), tbl, oracleWhere(tbl, preds),
+					func() ([]Result, QueryReport) { return tbl.SelectWhere(preds) })
 			}
+			checkOracle(t, "scan-all", tbl, oracleScanAll(), scanAllRun(tbl))
 		})
 	}
 }
 
-// TestBitmapScanConcurrentChurn scans captured snapshots through both
-// the kernel and the per-record sidecar path while writers churn the
-// table with deletes, updates, vacuums, and tier transitions. Both
-// paths must agree on every snapshot, and the race detector must stay
-// quiet across the kernel's atomic word loads.
+// TestBitmapScanConcurrentChurn scans captured snapshots while writers
+// churn the table with deletes, updates, vacuums, and tier transitions.
+// On every snapshot the kernel's answer to a Select program must equal
+// a decode-everything-and-filter pass over the same snapshot, and the
+// race detector must stay quiet across the kernel's atomic word loads.
 func TestBitmapScanConcurrentChurn(t *testing.T) {
 	tbl := newTestTable(0.35, 50)
 	rng := rand.New(rand.NewSource(5))
@@ -229,24 +150,25 @@ func TestBitmapScanConcurrentChurn(t *testing.T) {
 
 	for i := 0; i < 300; i++ {
 		q := synopsis.Of(i%12, (i+4)%12)
-		prog := selectProgram(q)
+		prog := storage.BitmapProgram{Attrs: q.Elements(nil), Disjunction: true}
 		snap := tbl.capture()
 		for _, ps := range snap.parts {
-			if ps.syn == nil || !synopsis.Intersects(ps.syn, q) {
-				continue
+			all := scanPart(ps, storage.BitmapProgram{}, nil)
+			var want []Result
+			var wantBytes int64
+			for _, r := range all.hits {
+				if synopsis.Intersects(r.Entity.Synopsis(), q) {
+					want = append(want, r)
+					wantBytes += int64(len(encodeRecord(r.ID, r.Entity)))
+				}
 			}
-			bm, ok := scanSnapPartBitmap(ps, q, prog)
-			if !ok {
-				continue
+			got := scanPart(ps, prog, nil)
+			if !sameResults(got.hits, want) ||
+				got.scanned != all.scanned || got.bytesRead != all.bytesRead ||
+				got.decoded != len(want) || got.skipped != all.scanned-len(want) ||
+				got.bytesHit != wantBytes || got.bytesSkip != all.bytesRead-wantBytes {
+				t.Errorf("snapshot %d partition %d: kernel scan and decode-all-and-filter disagree", i, ps.pid)
 			}
-			sc := scanSnapPart(ps, q)
-			if !sameResults(bm.hits, sc.hits) ||
-				bm.scanned != sc.scanned || bm.decoded != sc.decoded ||
-				bm.skipped != sc.skipped || bm.bytesRead != sc.bytesRead ||
-				bm.bytesHit != sc.bytesHit || bm.bytesSkip != sc.bytesSkip {
-				t.Errorf("snapshot %d partition %d: bitmap and sidecar scans disagree", i, ps.pid)
-			}
-			releaseScanScratches([]partScan{bm})
 		}
 		if t.Failed() {
 			break
@@ -257,42 +179,59 @@ func TestBitmapScanConcurrentChurn(t *testing.T) {
 }
 
 // TestBitmapScanSteadyStateZeroAlloc enforces the pooled-scratch
-// guarantee: once the pool is warm, a bitmap partition scan that
-// decodes nothing performs zero heap allocations.
+// guarantee through the unified routine: once the pool is warm, a
+// partition scan plus its merge-and-charge step performs zero heap
+// allocations when nothing is decoded — for each of the three shapes
+// Select, SelectWhere and ScanAll compile to.
 func TestBitmapScanSteadyStateZeroAlloc(t *testing.T) {
 	tbl := newTestTable(0.5, 5000)
 	for i := 0; i < 2000; i++ {
 		tbl.Insert(mkEnt(i%7, 7+i%5))
 	}
-	snap := tbl.capture()
-	var ps *partSnap
-	for _, p := range snap.parts {
-		if p.view.NumRecords() > 0 {
-			ps = p
-			break
+	populated := tbl.capture().parts[0]
+	if populated.view.NumRecords() == 0 {
+		t.Fatal("fixture: first partition is empty")
+	}
+	// ScanAll decodes every live record, so its no-decode case is a
+	// segment whose records are all tombstoned: the kernel still walks
+	// every word of the matrix.
+	seg := storage.NewSegment(nil)
+	for i := 0; i < 500; i++ {
+		id, err := seg.InsertTagged(encodeRecord(core.EntityID(i+1), mkEnt(i%7)), synopsis.Of(i%7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Delete(id); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if ps == nil {
-		t.Fatal("no populated partition")
-	}
+	emptied := &partSnap{pid: 1, view: seg.View()}
 
-	q := synopsis.Of(999) // matches nothing: pure kernel, no decodes
-	prog := selectProgram(q)
-	parts := make([]partScan, 1)
-	run := func() {
-		sc, ok := scanSnapPartBitmap(ps, q, prog)
-		if !ok {
-			t.Fatal("bitmap scan declined")
-		}
-		if sc.decoded != 0 {
-			t.Fatalf("no-match scan decoded %d records", sc.decoded)
-		}
-		parts[0] = sc
-		releaseScanScratches(parts)
+	preds := []Pred{{Attr: 999, Op: Eq, Value: entity.Int(1)}}
+	shapes := []struct {
+		name  string
+		ps    *partSnap
+		prog  storage.BitmapProgram
+		match func(*entity.Entity) bool
+	}{
+		{"select", populated, storage.BitmapProgram{Attrs: []int{999}, Disjunction: true}, nil},
+		{"where", populated, storage.BitmapProgram{Attrs: []int{999}}, func(e *entity.Entity) bool { return entityMatches(e, preds) }},
+		{"scan-all", emptied, storage.BitmapProgram{}, nil},
 	}
-	run() // warm the pool and the scratch buffers
-
-	if n := testing.AllocsPerRun(200, run); n != 0 {
-		t.Fatalf("steady-state bitmap scan allocates %.1f times per run, want 0", n)
+	for _, sh := range shapes {
+		parts := make([]partScan, 1)
+		run := func() {
+			parts[0] = scanPart(sh.ps, sh.prog, sh.match)
+			if parts[0].decoded != 0 || parts[0].bitmapWords == 0 {
+				t.Fatalf("%s: decoded %d records in %d word ops, want a pure kernel pass",
+					sh.name, parts[0].decoded, parts[0].bitmapWords)
+			}
+			var rep QueryReport
+			tbl.settle(nil, parts, &rep, time.Time{}, sh.match != nil)
+		}
+		run() // warm the pool and the scratch buffers
+		if n := testing.AllocsPerRun(200, run); n != 0 {
+			t.Fatalf("%s: steady-state scan allocates %.1f times per run, want 0", sh.name, n)
+		}
 	}
 }

@@ -6,35 +6,44 @@ import (
 	"time"
 
 	"cinderella/internal/core"
+	"cinderella/internal/entity"
 	"cinderella/internal/storage"
-	"cinderella/internal/synopsis"
 )
 
 // Parallel partition scans.
 //
 // Queries that survive pruning scan each remaining partition
-// independently: partitions are disjoint, and each scan runs either
-// against an immutable snapshot (default mode) or under the table's read
-// lock, so the scans are embarrassingly parallel in both modes.
-// runScans fans the per-partition work out over a bounded worker pool.
-// Determinism is preserved by construction — worker i-th unit writes only
-// slot i of a pre-sized result array, and the caller concatenates slots in
+// independently: partitions are disjoint and each scan runs against an
+// immutable snapshot, so the scans are embarrassingly parallel.
+// scanParts fans the per-partition work out over a bounded worker pool.
+// Determinism is preserved by construction — the i-th unit writes only
+// slot i of a pre-sized result array, and settle concatenates slots in
 // ascending partition-id order, so the result bytes and every QueryReport
 // counter are identical to a serial scan regardless of scheduling.
 
-// runScans executes scan(i) for every i in [0, n), using up to
-// t.parallelism workers (Config.Parallelism; 1 opts out). scan must write
-// only state owned by its index.
-func (t *Table) runScans(n int, scan func(i int)) {
-	workers := int(t.parallelism.Load())
-	if workers > n {
-		workers = n
+// scanParts runs scanPart over every surviving partition, using up to
+// t.parallelism workers (Config.Parallelism; 1 opts out), and returns
+// one partScan per survivor in order. timed additionally stamps each
+// slot's scan wall time (sampled spans record per-partition timing;
+// everyone else skips the clock reads).
+func (t *Table) scanParts(survivors []*partSnap, prog storage.BitmapProgram, match func(*entity.Entity) bool, timed bool) []partScan {
+	parts := make([]partScan, len(survivors))
+	scan := func(i int) {
+		if !timed {
+			parts[i] = scanPart(survivors[i], prog, match)
+			return
+		}
+		st := time.Now()
+		parts[i] = scanPart(survivors[i], prog, match)
+		parts[i].ns = time.Since(st).Nanoseconds()
 	}
+	n := len(parts)
+	workers := min(int(t.parallelism.Load()), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			scan(i)
 		}
-		return
+		return parts
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -52,120 +61,28 @@ func (t *Table) runScans(n int, scan func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// runTimedScans fills parts[i] = scan(i) through the worker pool,
-// additionally stamping each slot's scan wall time when timed (sampled
-// spans record per-partition timing; everyone else skips the clock
-// reads).
-func (t *Table) runTimedScans(parts []partScan, timed bool, scan func(i int) partScan) {
-	t.runScans(len(parts), func(i int) {
-		if !timed {
-			parts[i] = scan(i)
-			return
-		}
-		st := time.Now()
-		parts[i] = scan(i)
-		parts[i].ns = time.Since(st).Nanoseconds()
-	})
+	return parts
 }
 
 // partScan is one partition's private scan buffer: hits in storage order
 // plus the records-visited and byte-volume counters. decoded and skipped
-// split the visited records by whether the sidecar synopsis let the scan
+// split the visited records by whether the bitmap kernel let the scan
 // avoid the decode; they feed the telemetry decode counters, the heat
 // map, and query spans only — never QueryReport.
 type partScan struct {
-	pid       core.PartitionID
-	hits      []Result
-	scanned   int
-	decoded   int   // records actually decoded
-	skipped   int   // records pruned (sidecar word-AND or bitmap kernel) without decoding
-	bytesRead int64 // live record bytes visited
-	bytesHit  int64 // live record bytes of hits (relevant to the query)
-	bytesSkip int64 // live record bytes of skipped records
-	ns        int64 // scan wall time; recorded only for sampled spans
+	pid         core.PartitionID
+	hits        []Result
+	scanned     int
+	decoded     int   // records actually decoded (the kernel's candidates)
+	skipped     int   // records the kernel ruled out without decoding
+	bytesRead   int64 // live record bytes visited
+	bytesHit    int64 // live record bytes of hits (relevant to the query)
+	bytesSkip   int64 // live record bytes of skipped records
+	bitmapWords int64 // 64-bit word operations the kernel performed
+	ns          int64 // scan wall time; recorded only for sampled spans
 
-	// Bitmap-kernel attribution (see bitmap.go). scratch is the pooled
-	// buffer set backing hits; the query path releases it after the hits
-	// have been merged and the span published.
-	bitmap      bool
-	bitmapWords int64
-	bitmapHits  int64
-	scratch     *scanScratch
-}
-
-// scanPartition scans one partition's segment, decoding every live record
-// (the union branch for this partition) and filtering by the query
-// synopsis. A nil q keeps every record (full scan).
-func (t *Table) scanPartition(pid core.PartitionID, q *synopsis.Set) partScan {
-	seg, hot := t.segs[pid]
-	if !hot {
-		// Frozen partition: locked mode scans the cold view in place (the
-		// segment is immutable under the read lock anyway). QueryReport
-		// counters are identical to the hot path.
-		return scanSnapPart(&partSnap{pid: pid, cold: t.cold[pid].View()}, q)
-	}
-	ps := partScan{pid: pid}
-	seg.Scan(func(rid storage.RecordID, rec []byte) bool {
-		ps.scanned++
-		ps.bytesRead += int64(len(rec))
-		id, e, err := decodeRecord(rec)
-		if err != nil {
-			panic("table: corrupt record during scan: " + err.Error())
-		}
-		ps.decoded++
-		if q == nil || synopsis.Intersects(e.Synopsis(), q) {
-			ps.hits = append(ps.hits, Result{ID: id, Entity: e})
-			ps.bytesHit += int64(len(rec))
-		}
-		return true
-	})
-	return ps
-}
-
-// scanPartitionWhere scans one partition's segment filtering by value
-// predicates (conjunction).
-func (t *Table) scanPartitionWhere(pid core.PartitionID, preds []Pred) partScan {
-	seg, hot := t.segs[pid]
-	if !hot {
-		return scanSnapPartWhere(&partSnap{pid: pid, cold: t.cold[pid].View()}, preds, predNeed(preds))
-	}
-	ps := partScan{pid: pid}
-	seg.Scan(func(_ storage.RecordID, rec []byte) bool {
-		ps.scanned++
-		ps.bytesRead += int64(len(rec))
-		id, e, err := decodeRecord(rec)
-		if err != nil {
-			panic("table: corrupt record during scan: " + err.Error())
-		}
-		ps.decoded++
-		if entityMatches(e, preds) {
-			ps.hits = append(ps.hits, Result{ID: id, Entity: e})
-			ps.bytesHit += int64(len(rec))
-		}
-		return true
-	})
-	return ps
-}
-
-// mergeScans concatenates per-partition buffers in slot (= partition-id)
-// order and folds their counters into rep.
-func mergeScans(parts []partScan, rep *QueryReport) []Result {
-	var out []Result
-	total := 0
-	for i := range parts {
-		total += len(parts[i].hits)
-	}
-	if total > 0 {
-		out = make([]Result, 0, total)
-	}
-	for i := range parts {
-		rep.EntitiesScanned += parts[i].scanned
-		rep.EntitiesReturned += len(parts[i].hits)
-		rep.BytesRead += parts[i].bytesRead
-		rep.BytesRelevant += parts[i].bytesHit
-		out = append(out, parts[i].hits...)
-	}
-	return out
+	// scratch is the pooled buffer set backing hits (see bitmap.go);
+	// settle releases it after the hits have been merged and the span
+	// published.
+	scratch *scanScratch
 }

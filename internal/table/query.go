@@ -3,6 +3,7 @@ package table
 import (
 	"strconv"
 	"strings"
+	"time"
 
 	"cinderella/internal/core"
 	"cinderella/internal/entity"
@@ -55,10 +56,8 @@ func (t *Table) SelectSynopsis(q *synopsis.Set) []Result {
 // SelectWithReport runs the query and also returns execution counters.
 // Surviving partitions are scanned by the worker pool (see parallel.go);
 // results arrive in ascending partition-id order, identical to a serial
-// scan. In the default snapshot mode the query runs against a captured
-// consistent cut and never takes the table lock; in locked mode (see
-// SetLockedReads) it holds the shared read lock for the whole scan. The
-// results and every QueryReport counter are identical in both modes.
+// scan. The query runs against a captured consistent cut and never takes
+// the table lock.
 func (t *Table) SelectWithReport(q *synopsis.Set) ([]Result, QueryReport) {
 	return t.SelectSpanned(q, t.observer().StartQuery(obs.KindSelect))
 }
@@ -74,127 +73,161 @@ func (t *Table) SelectSpanned(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, Que
 	// Record the query's attribute shape into the recent-mix ring; the
 	// reclusterer derives its workload-relevance term from it.
 	t.observer().NoteQueryShape(q)
-	if t.lockedReads.Load() {
-		return t.selectLocked(q, sp)
+	prune := func(ps *partSnap) (obs.PruneReason, bool) {
+		return obs.PruneSynopsisDisjoint, ps.syn == nil || !synopsis.Intersects(ps.syn, q)
 	}
-	return t.selectSnap(q, sp)
-}
-
-func (t *Table) selectLocked(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, QueryReport) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	start := t.obsStart()
-
-	var rep QueryReport
-	pids := t.sortedPIDs()
-	rep.PartitionsTotal = len(pids)
-	survivors := pids[:0]
-	for _, pid := range pids {
-		syn := t.attrSyn[pid]
-		if syn == nil || !synopsis.Intersects(syn, q) {
-			rep.PartitionsPruned++
-			sp.Prune(uint64(pid), obs.PruneSynopsisDisjoint)
-			continue
-		}
-		survivors = append(survivors, pid)
-	}
-	rep.PartitionsTouched = len(survivors)
-
-	parts := make([]partScan, len(survivors))
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		return t.scanPartition(survivors[i], q)
-	})
-	out := mergeScans(parts, &rep)
-
-	ns := lapNs(start)
-	t.noteQuery(rep, ns)
-	t.noteScans(sp, parts, rep, ns)
-	return out, rep
-}
-
-func (t *Table) selectSnap(q *synopsis.Set, sp *obs.QuerySpan) ([]Result, QueryReport) {
-	start := t.obsStart()
-	snap := t.capture()
-
-	var rep QueryReport
-	rep.PartitionsTotal = len(snap.parts)
-	survivors := make([]*partSnap, 0, len(snap.parts))
-	for _, ps := range snap.parts {
-		if ps.syn == nil || !synopsis.Intersects(ps.syn, q) {
-			rep.PartitionsPruned++
-			sp.Prune(uint64(ps.pid), obs.PruneSynopsisDisjoint)
-			continue
-		}
-		survivors = append(survivors, ps)
-	}
-	rep.PartitionsTouched = len(survivors)
-
-	parts := make([]partScan, len(survivors))
-	useBitmap := t.bitmapScans.Load()
-	var prog storage.BitmapProgram
-	if useBitmap {
-		prog = selectProgram(q)
-	}
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		if useBitmap {
-			if sc, ok := scanSnapPartBitmap(survivors[i], q, prog); ok {
-				return sc
-			}
-		}
-		return scanSnapPart(survivors[i], q)
-	})
-	out := mergeScans(parts, &rep)
-
-	ns := lapNs(start)
-	t.noteQuery(rep, ns)
-	t.noteScans(sp, parts, rep, ns)
-	releaseScanScratches(parts)
-	return out, rep
+	// Presence rows are the entities' exact attribute sets, so every
+	// candidate of the union program is a hit: no post-decode test.
+	return t.runQuery(sp, prune, storage.BitmapProgram{Attrs: q.Elements(nil), Disjunction: true}, nil)
 }
 
 // ScanAll returns every live entity (a full table scan over all
 // partitions, no pruning possible). Partitions are scanned in parallel
 // like Select; the result order is ascending partition id, then storage
-// order within the partition. Like Select it runs lock-free against a
-// snapshot by default and under the read lock in locked mode.
+// order within the partition.
 func (t *Table) ScanAll() []Result {
 	return t.ScanAllSpanned(t.observer().StartQuery(obs.KindScanAll))
 }
 
 // ScanAllSpanned runs ScanAll filling an externally created query span
-// (sp may be nil). Full scans feed the heat map and span trees but, as
-// before, do not enter the query counters or the EFFICIENCY estimator —
-// they have no pruning decision to measure.
+// (sp may be nil). Full scans feed the heat map and span trees but do
+// not enter the query counters or the EFFICIENCY estimator — they have
+// no pruning decision to measure.
 func (t *Table) ScanAllSpanned(sp *obs.QuerySpan) []Result {
 	if sp.WantDetail() {
 		sp.SetQuery("scan-all")
 	}
+	// The empty conjunction: every live record is a candidate and a hit.
+	out, _ := t.runQuery(sp, nil, storage.BitmapProgram{}, nil)
+	return out
+}
+
+// pruneFn decides from a partition's published pruning metadata whether
+// the partition can be skipped without reading it, and why.
+type pruneFn func(ps *partSnap) (why obs.PruneReason, pruned bool)
+
+// runQuery is the table's one read path, behind Select, SelectWhere and
+// ScanAll: capture a consistent cut, prune partitions by metadata, scan
+// the survivors with the bitmap kernel (prog selects the candidate
+// records, match — nil accepts all — tests each decoded candidate), and
+// merge and charge the result. A nil prune keeps every partition and
+// marks the query as uncounted (see settle).
+func (t *Table) runQuery(sp *obs.QuerySpan, prune pruneFn, prog storage.BitmapProgram, match func(*entity.Entity) bool) ([]Result, QueryReport) {
 	start := t.obsStart()
-	if t.lockedReads.Load() {
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		pids := t.sortedPIDs()
-		parts := make([]partScan, len(pids))
-		t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-			return t.scanPartition(pids[i], nil)
-		})
-		var rep QueryReport
-		rep.PartitionsTotal = len(pids)
-		rep.PartitionsTouched = len(pids)
-		out := mergeScans(parts, &rep)
-		t.noteScans(sp, parts, rep, lapNs(start))
-		return out
-	}
-	snap := t.capture()
-	parts := make([]partScan, len(snap.parts))
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		return scanSnapPart(snap.parts[i], nil)
-	})
+
+	// Zone maps shrink only when RebuildZoneMaps swaps in fresh ones or a
+	// partition is dropped; the generation check makes sure the maps a
+	// prune consulted were current for the captured snapshot (retry on
+	// the rare race).
+	var survivors []*partSnap
 	var rep QueryReport
-	rep.PartitionsTotal = len(snap.parts)
-	rep.PartitionsTouched = len(snap.parts)
-	out := mergeScans(parts, &rep)
-	t.noteScans(sp, parts, rep, lapNs(start))
+	for {
+		gen := t.zoneGen.Load()
+		survivors = t.capture().parts
+		rep = QueryReport{PartitionsTotal: len(survivors)}
+		if prune != nil {
+			sp.ResetPrunes() // a retry re-prunes from scratch
+			kept := survivors[:0]
+			for _, ps := range survivors {
+				if why, pruned := prune(ps); pruned {
+					rep.PartitionsPruned++
+					sp.Prune(uint64(ps.pid), why)
+					continue
+				}
+				kept = append(kept, ps)
+			}
+			survivors = kept
+		}
+		if t.zoneGen.Load() == gen {
+			break
+		}
+	}
+	rep.PartitionsTouched = len(survivors)
+
+	parts := t.scanParts(survivors, prog, match, sp.TimeScans())
+	out := t.settle(sp, parts, &rep, start, prune != nil)
+	return out, rep
+}
+
+// settle is the one merge-and-charge routine: it concatenates the
+// per-partition hit buffers in slot (= partition-id) order, folds their
+// counters into rep, and publishes the query to telemetry — the query
+// counters and streaming EFFICIENCY estimator (counted queries only),
+// the decode/skip and kernel counters, the always-on heat map, and the
+// query span — before returning the pooled scan buffers. The decode-side
+// counters are CPU signals only; they never enter QueryReport.
+func (t *Table) settle(sp *obs.QuerySpan, parts []partScan, rep *QueryReport, start time.Time, counted bool) []Result {
+	var out []Result
+	total := 0
+	for i := range parts {
+		total += len(parts[i].hits)
+	}
+	if total > 0 {
+		out = make([]Result, 0, total)
+	}
+	var dec, skip, words int64
+	for i := range parts {
+		p := &parts[i]
+		rep.EntitiesScanned += p.scanned
+		rep.EntitiesReturned += len(p.hits)
+		rep.BytesRead += p.bytesRead
+		rep.BytesRelevant += p.bytesHit
+		out = append(out, p.hits...)
+		dec += int64(p.decoded)
+		skip += int64(p.skipped)
+		words += p.bitmapWords
+	}
+
+	ns := lapNs(start)
+	if counted {
+		t.noteQuery(*rep, ns)
+	}
+	if r := t.observer(); r != nil {
+		r.Add(obs.CScanDecoded, dec)
+		r.Add(obs.CScanDecodeSkipped, skip)
+		r.Add(obs.CScanBitmapWords, words)
+		r.Add(obs.CScanBitmapHits, dec)
+
+		var spans []obs.PartSpan
+		if len(parts) > 0 {
+			spans = make([]obs.PartSpan, len(parts))
+			for i := range parts {
+				p := &parts[i]
+				spans[i] = obs.PartSpan{
+					Partition:     uint64(p.pid),
+					Scanned:       int64(p.scanned),
+					Returned:      int64(len(p.hits)),
+					Decoded:       int64(p.decoded),
+					Skipped:       int64(p.skipped),
+					BytesRead:     p.bytesRead,
+					BytesRelevant: p.bytesHit,
+					BytesSkipped:  p.bytesSkip,
+					ScanNs:        p.ns,
+					BitmapWords:   p.bitmapWords,
+					BitmapHits:    int64(p.decoded),
+				}
+			}
+		}
+		r.FinishQuery(sp, ns, obs.QueryAgg{
+			PartitionsTotal:   int64(rep.PartitionsTotal),
+			PartitionsTouched: int64(rep.PartitionsTouched),
+			PartitionsPruned:  int64(rep.PartitionsPruned),
+			EntitiesScanned:   int64(rep.EntitiesScanned),
+			EntitiesReturned:  int64(rep.EntitiesReturned),
+			BytesRead:         rep.BytesRead,
+			BytesRelevant:     rep.BytesRelevant,
+		}, spans)
+	}
+
+	// The hits were copied out above; clear the pooled buffers so they do
+	// not pin decoded entities.
+	for i := range parts {
+		sc := parts[i].scratch
+		parts[i].scratch, parts[i].hits = nil, nil
+		clear(sc.hits)
+		sc.hits = sc.hits[:0]
+		scanScratchPool.Put(sc)
+	}
 	return out
 }
 

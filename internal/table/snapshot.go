@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"cinderella/internal/core"
-	"cinderella/internal/obs"
 	"cinderella/internal/storage"
 	"cinderella/internal/synopsis"
 )
@@ -16,7 +15,7 @@ import (
 // Queries do not take the table lock. Instead, every mutation publishes —
 // still under the write lock, as its last step — an immutable per-
 // partition snapshot: the partition's pruning synopsis plus a frozen view
-// of its segment (page chain, record-synopsis sidecar, live counters).
+// of its segment (page chain, attribute-presence matrix, live counters).
 // Readers capture a consistent cut of these snapshots with three atomic
 // ingredients and no locks:
 //
@@ -44,7 +43,7 @@ import (
 // depends on the optimistic path winning.
 //
 // Memory reclamation is garbage collection: a captured snapshot pins the
-// superseded pages and sidecar rows it references, and they are freed
+// superseded pages and matrix arrays it references, and they are freed
 // when the last in-flight query drops them. Nothing is recycled in
 // place, so there is no epoch-advance or hazard-pointer protocol to get
 // wrong.
@@ -64,13 +63,11 @@ type partSnap struct {
 }
 
 // recView is the scan surface shared by hot segment views and cold
-// partition views; the scan loops are tier-agnostic behind it.
-// ScanBitmap is the word-parallel kernel entry (see bitmap.go); views
-// that predate the presence matrix report ok=false and the scan falls
-// back to the per-record Scan.
+// partition views; scanPart is tier-agnostic behind it. ScanBitmap is
+// the word-parallel kernel entry (see bitmap.go); Record fetches a
+// candidate's payload.
 type recView interface {
-	Scan(fn func(id storage.RecordID, n int, syn *synopsis.Set) bool)
-	ScanBitmap(prog storage.BitmapProgram, sc *storage.BitmapScratch) ([]storage.BitmapCand, int64, bool)
+	ScanBitmap(prog storage.BitmapProgram, sc *storage.BitmapScratch) ([]storage.RecordID, int64, error)
 	Record(id storage.RecordID) []byte
 	NumRecords() int
 	LiveBytes() int64
@@ -192,135 +189,6 @@ func (t *Table) loadSnaps() tableSnap {
 	return tableSnap{parts: parts}
 }
 
-// SetLockedReads switches the read paths (Select*, ScanAll, SelectWhere)
-// between snapshot mode (default, false) and the historical RWMutex mode,
-// where queries hold the shared read lock for the whole scan. The locked
-// mode is retained as the comparison baseline for benchmarks and
-// equivalence tests; results and QueryReport counters are identical in
-// both modes.
-func (t *Table) SetLockedReads(locked bool) {
-	t.lockedReads.Store(locked)
-}
-
 // SnapshotEpoch returns the number of snapshot publications so far (the
 // epoch gauge exported to telemetry).
 func (t *Table) SnapshotEpoch() uint64 { return t.epoch.Load() }
-
-// scanSnapPart scans one partition snapshot for the attribute-set query
-// q (nil = keep everything). Records whose sidecar synopsis is disjoint
-// from q are skipped without decoding; their visit is still charged to
-// the scanned/byte counters, keeping the report identical to a locked
-// scan. Sidecar synopses are the entities' exact attribute sets, so the
-// skip never changes the result set.
-func scanSnapPart(ps *partSnap, q *synopsis.Set) partScan {
-	sc := partScan{pid: ps.pid}
-	v := ps.reader()
-	v.Scan(func(id storage.RecordID, n int, syn *synopsis.Set) bool {
-		sc.scanned++
-		sc.bytesRead += int64(n)
-		if q != nil && syn != nil && !synopsis.Intersects(syn, q) {
-			sc.skipped++
-			sc.bytesSkip += int64(n)
-			return true
-		}
-		eid, e, err := decodeRecord(v.Record(id))
-		if err != nil {
-			panic("table: corrupt record during snapshot scan: " + err.Error())
-		}
-		sc.decoded++
-		// A non-nil sidecar synopsis is the entity's exact attribute set
-		// and already passed the intersection test above, so only records
-		// without one need the post-decode check.
-		if q == nil || syn != nil || synopsis.Intersects(e.Synopsis(), q) {
-			sc.hits = append(sc.hits, Result{ID: eid, Entity: e})
-			sc.bytesHit += int64(n)
-		}
-		return true
-	})
-	return sc
-}
-
-// scanSnapPartWhere scans one partition snapshot for a predicate
-// conjunction. need is the set of predicate attributes: an entity lacking
-// any of them cannot match (SQL null semantics), so records whose sidecar
-// synopsis does not cover need are skipped without decoding.
-func scanSnapPartWhere(ps *partSnap, preds []Pred, need *synopsis.Set) partScan {
-	sc := partScan{pid: ps.pid}
-	v := ps.reader()
-	v.Scan(func(id storage.RecordID, n int, syn *synopsis.Set) bool {
-		sc.scanned++
-		sc.bytesRead += int64(n)
-		if syn != nil && !synopsis.Subset(need, syn) {
-			sc.skipped++
-			sc.bytesSkip += int64(n)
-			return true
-		}
-		eid, e, err := decodeRecord(v.Record(id))
-		if err != nil {
-			panic("table: corrupt record during snapshot scan: " + err.Error())
-		}
-		sc.decoded++
-		if entityMatches(e, preds) {
-			sc.hits = append(sc.hits, Result{ID: eid, Entity: e})
-			sc.bytesHit += int64(n)
-		}
-		return true
-	})
-	return sc
-}
-
-// noteScans publishes the per-partition scan results of one query to
-// telemetry: the decode/skip counters (attributed per shard through the
-// registry handle), the always-on heat map, and — when sp is non-nil —
-// the query span. These are CPU-side signals only; they never enter
-// QueryReport, whose fields stay bit-identical between read modes.
-func (t *Table) noteScans(sp *obs.QuerySpan, parts []partScan, rep QueryReport, ns int64) {
-	r := t.observer()
-	if r == nil {
-		return
-	}
-	var dec, skip, bmWords, bmHits int64
-	for i := range parts {
-		dec += int64(parts[i].decoded)
-		skip += int64(parts[i].skipped)
-		bmWords += parts[i].bitmapWords
-		bmHits += parts[i].bitmapHits
-	}
-	r.Add(obs.CScanDecoded, dec)
-	r.Add(obs.CScanDecodeSkipped, skip)
-	if bmWords > 0 || bmHits > 0 {
-		r.Add(obs.CScanBitmapWords, bmWords)
-		r.Add(obs.CScanBitmapHits, bmHits)
-	}
-
-	var spans []obs.PartSpan
-	if len(parts) > 0 {
-		spans = make([]obs.PartSpan, len(parts))
-		for i := range parts {
-			p := &parts[i]
-			spans[i] = obs.PartSpan{
-				Partition:     uint64(p.pid),
-				Scanned:       int64(p.scanned),
-				Returned:      int64(len(p.hits)),
-				Decoded:       int64(p.decoded),
-				Skipped:       int64(p.skipped),
-				BytesRead:     p.bytesRead,
-				BytesRelevant: p.bytesHit,
-				BytesSkipped:  p.bytesSkip,
-				ScanNs:        p.ns,
-				Bitmap:        p.bitmap,
-				BitmapWords:   p.bitmapWords,
-				BitmapHits:    p.bitmapHits,
-			}
-		}
-	}
-	r.FinishQuery(sp, ns, obs.QueryAgg{
-		PartitionsTotal:   int64(rep.PartitionsTotal),
-		PartitionsTouched: int64(rep.PartitionsTouched),
-		PartitionsPruned:  int64(rep.PartitionsPruned),
-		EntitiesScanned:   int64(rep.EntitiesScanned),
-		EntitiesReturned:  int64(rep.EntitiesReturned),
-		BytesRead:         rep.BytesRead,
-		BytesRelevant:     rep.BytesRelevant,
-	}, spans)
-}

@@ -8,6 +8,7 @@ import (
 
 	"cinderella/internal/core"
 	"cinderella/internal/entity"
+	"cinderella/internal/storage"
 	"cinderella/internal/synopsis"
 )
 
@@ -16,7 +17,7 @@ import (
 func snapContents(snap tableSnap) map[core.EntityID]*entity.Entity {
 	out := make(map[core.EntityID]*entity.Entity)
 	for _, ps := range snap.parts {
-		sc := scanSnapPart(ps, nil)
+		sc := scanPart(ps, storage.BitmapProgram{}, nil)
 		for _, r := range sc.hits {
 			out[r.ID] = r.Entity
 		}
@@ -86,98 +87,6 @@ func TestSnapshotSeesPreMutationState(t *testing.T) {
 		}
 		if !ge.Equal(we) {
 			t.Fatalf("snapshot entity %d = %v, want pre-mutation %v", id, ge, we)
-		}
-	}
-}
-
-// TestSnapshotLockedQueryEquivalence is the property test: on several
-// seeds, SelectWithReport and SelectWhere return identical results,
-// identical QueryReport counters, and identical simulated-I/O charges in
-// snapshot mode and in the historical locked mode.
-func TestSnapshotLockedQueryEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			tbl := newTestTable(0.35, 60)
-			var ids []core.EntityID
-			for i := 0; i < 500; i++ {
-				ids = append(ids, tbl.Insert(randomTestEntity(rng)))
-			}
-			for _, id := range ids {
-				switch rng.Intn(4) {
-				case 0:
-					tbl.Delete(id)
-				case 1:
-					tbl.Update(id, randomTestEntity(rng))
-				}
-			}
-
-			ioDelta := func(run func()) [5]int64 {
-				var before, after [5]int64
-				before[0], before[1], before[2], before[3], before[4] = tbl.Stats().Snapshot()
-				run()
-				after[0], after[1], after[2], after[3], after[4] = tbl.Stats().Snapshot()
-				for i := range after {
-					after[i] -= before[i]
-				}
-				return after
-			}
-
-			for probe := 0; probe < 12; probe++ {
-				q := synopsis.Of(probe, (probe+5)%12)
-
-				var lr, sr []Result
-				var lrep, srep QueryReport
-				lio := ioDelta(func() {
-					tbl.SetLockedReads(true)
-					lr, lrep = tbl.SelectWithReport(q)
-				})
-				sio := ioDelta(func() {
-					tbl.SetLockedReads(false)
-					sr, srep = tbl.SelectWithReport(q)
-				})
-				if lrep != srep {
-					t.Fatalf("probe %d: locked report %+v != snapshot report %+v", probe, lrep, srep)
-				}
-				if lio != sio {
-					t.Fatalf("probe %d: locked I/O %v != snapshot I/O %v", probe, lio, sio)
-				}
-				compareResults(t, probe, lr, sr)
-
-				preds := []Pred{{Attr: probe, Op: Ge, Value: entity.Int(10)}}
-				tbl.SetLockedReads(true)
-				lwr, lwrep := tbl.SelectWhere(preds)
-				tbl.SetLockedReads(false)
-				swr, swrep := tbl.SelectWhere(preds)
-				if lwrep != swrep {
-					t.Fatalf("where probe %d: locked report %+v != snapshot report %+v", probe, lwrep, swrep)
-				}
-				compareResults(t, probe, lwr, swr)
-
-				// The sidecar skip must never change the result set:
-				// brute force over the full scan agrees.
-				var brute []Result
-				for _, r := range tbl.ScanAll() {
-					if entityMatches(r.Entity, preds) {
-						brute = append(brute, r)
-					}
-				}
-				compareResults(t, probe, brute, swr)
-			}
-		})
-	}
-}
-
-func compareResults(t *testing.T, probe int, a, b []Result) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("probe %d: %d results vs %d", probe, len(a), len(b))
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || !a[i].Entity.Equal(b[i].Entity) {
-			t.Fatalf("probe %d: result %d differs: (%d,%v) vs (%d,%v)",
-				probe, i, a[i].ID, a[i].Entity, b[i].ID, b[i].Entity)
 		}
 	}
 }
@@ -275,10 +184,12 @@ func TestSnapshotConcurrentWritersReaders(t *testing.T) {
 	default:
 	}
 
-	// After the dust settles, snapshot and locked full scans agree.
-	snapRes := tbl.ScanAll()
-	tbl.SetLockedReads(true)
-	lockRes := tbl.ScanAll()
-	tbl.SetLockedReads(false)
-	compareResults(t, -1, lockRes, snapRes)
+	// After the dust settles, every query kind agrees with the oracle.
+	checkOracle(t, "scan-all after churn", tbl, oracleScanAll(), scanAllRun(tbl))
+	q := synopsis.Of(3, 8)
+	checkOracle(t, "select after churn", tbl, oracleSelect(q),
+		func() ([]Result, QueryReport) { return tbl.SelectWithReport(q) })
+	preds := []Pred{{Attr: 5, Op: Ge, Value: entity.Int(10)}}
+	checkOracle(t, "where after churn", tbl, oracleWhere(tbl, preds),
+		func() ([]Result, QueryReport) { return tbl.SelectWhere(preds) })
 }

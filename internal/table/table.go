@@ -96,8 +96,7 @@ type rowLoc struct {
 // scan-shaped queries (Select*, SelectWhere, ScanAll) run lock-free
 // against published partition snapshots (see snapshot.go) — readers
 // never block writers and writers never block readers. Point reads and
-// the introspection accessors share the read lock. SetLockedReads
-// restores the historical all-reads-under-RLock mode for comparison.
+// the introspection accessors share the read lock.
 type Table struct {
 	mu       sync.RWMutex
 	dict     *entity.Dictionary
@@ -120,7 +119,7 @@ type Table struct {
 	segs map[core.PartitionID]*storage.Segment
 	// cold holds the frozen partitions (see tier.go): a partition lives
 	// in exactly one of segs and cold. Frozen partitions keep their
-	// pruning synopsis, zone maps, and record sidecar hot; mutations
+	// pruning synopsis, zone maps, and presence matrix hot; mutations
 	// transparently thaw through seg().
 	cold map[core.PartitionID]*storage.ColdSegment
 	rows map[core.EntityID]rowLoc
@@ -153,14 +152,6 @@ type Table struct {
 	dirChanged bool
 	snapSeq    atomic.Uint64
 	epoch      atomic.Uint64
-
-	// lockedReads selects the historical RWMutex read mode (see
-	// SetLockedReads).
-	lockedReads atomic.Bool
-
-	// bitmapScans selects the word-parallel bitmap kernel for snapshot
-	// scans (default true; see bitmap.go and SetBitmapScans).
-	bitmapScans atomic.Bool
 
 	nextID core.EntityID
 
@@ -228,7 +219,6 @@ func New(cfg Config) *Table {
 	}
 	t.dir.Store(&partDir{})
 	t.parallelism.Store(int32(par))
-	t.bitmapScans.Store(true)
 	t.assigner.SetMoveListener(t.onPlacement)
 	if cfg.Obs != nil {
 		t.setObserverLocked(cfg.Obs)
@@ -362,7 +352,7 @@ func (t *Table) onPlacement(pl core.Placement) {
 		// snapshot reader may have captured a pre-mutation cut that still
 		// carries the partition's records (its merged-away records only
 		// appear in the destination at endMut). Bump the zone generation
-		// so selectWhereSnap re-captures instead of pruning that
+		// so runQuery re-captures instead of pruning that
 		// partition against the now-absent zone map.
 		t.zoneGen.Add(1)
 		t.markDirty(pl.From)

@@ -18,9 +18,9 @@ import (
 //
 //   - A partition lives in exactly one tier: t.segs XOR t.cold.
 //   - Everything pruning needs stays hot regardless of tier — the
-//     partition attribute synopsis, the zone maps, and the per-record
-//     sidecar — so SelectWhere prunes a frozen partition without
-//     touching a single cold byte.
+//     partition attribute synopsis, the zone maps, and the attribute-
+//     presence matrix — so SelectWhere prunes a frozen partition
+//     without touching a single cold byte.
 //   - Record ids survive both transitions. Freeze vacuums first (so the
 //     frozen page chain is compact and tombstone-free) and remaps the
 //     row index once; Thaw rebuilds the identical page chain, so the

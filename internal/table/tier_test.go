@@ -36,14 +36,6 @@ func tierFixture(t *testing.T, n int) (*Table, *storage.Stats, core.PartitionID)
 	return tbl, stats, cold
 }
 
-func resultIDs(res []Result) map[core.EntityID]bool {
-	out := make(map[core.EntityID]bool, len(res))
-	for _, r := range res {
-		out[r.ID] = true
-	}
-	return out
-}
-
 func TestFreezeThawRoundTrip(t *testing.T) {
 	tbl, _, coldPID := tierFixture(t, 50)
 	before := tbl.Select(50, 51)
@@ -61,24 +53,24 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 		t.Fatal("freeze of unknown partition succeeded")
 	}
 
-	// Both read modes return the identical result set from the cold tier.
-	for _, locked := range []bool{false, true} {
-		tbl.SetLockedReads(locked)
-		after := tbl.Select(50, 51)
-		if len(after) != len(before) {
-			t.Fatalf("locked=%v: %d hits after freeze, want %d", locked, len(after), len(before))
-		}
-		want := resultIDs(before)
-		for _, r := range after {
-			if !want[r.ID] {
-				t.Fatalf("locked=%v: unexpected hit %d", locked, r.ID)
-			}
-			if v, ok := r.Entity.Get(50); !ok || v.AsInt() != 50 {
-				t.Fatalf("locked=%v: entity %d content damaged", locked, r.ID)
-			}
-		}
+	// The cold tier returns the identical result set, and every query
+	// kind agrees with the oracle across the tier boundary.
+	after := tbl.Select(50, 51)
+	if !sameResults(after, before) {
+		t.Fatalf("%d hits after freeze differ from the %d before", len(after), len(before))
 	}
-	tbl.SetLockedReads(false)
+	checkTiers := func(stage string) {
+		t.Helper()
+		for _, q := range []*synopsis.Set{synopsis.Of(50, 51), synopsis.Of(1), synopsis.Of(3, 50), synopsis.Of(7)} {
+			checkOracle(t, stage+": select "+q.String(), tbl, oracleSelect(q),
+				func() ([]Result, QueryReport) { return tbl.SelectWithReport(q) })
+		}
+		preds := []Pred{{Attr: 51, Op: Ge, Value: entity.Int(0)}}
+		checkOracle(t, stage+": where", tbl, oracleWhere(tbl, preds),
+			func() ([]Result, QueryReport) { return tbl.SelectWhere(preds) })
+		checkOracle(t, stage+": scan-all", tbl, oracleScanAll(), scanAllRun(tbl))
+	}
+	checkTiers("frozen")
 
 	// Point reads work against the frozen partition.
 	anyID := before[0].ID
@@ -103,9 +95,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 	if frozen != 1 {
 		t.Fatalf("%d frozen partitions, want 1", frozen)
 	}
-	if f, th := tbl.TierCounters(); f != 1 || th != 0 {
-		t.Fatalf("tier counters = %d/%d, want 1/0", f, th)
-	}
+	fz, th := tbl.TierCounters() // checkOracle cycles the tier; count from here
 
 	if !tbl.ThawPartition(coldPID) {
 		t.Fatal("ThawPartition refused")
@@ -113,12 +103,13 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 	if tbl.ThawPartition(coldPID) {
 		t.Fatal("double thaw succeeded")
 	}
-	if got := tbl.Select(50, 51); len(got) != len(before) {
-		t.Fatalf("%d hits after thaw, want %d", len(got), len(before))
+	if got := tbl.Select(50, 51); !sameResults(got, before) {
+		t.Fatalf("%d hits after thaw differ from the %d before the freeze", len(got), len(before))
 	}
-	if f, th := tbl.TierCounters(); f != 1 || th != 1 {
-		t.Fatalf("tier counters = %d/%d, want 1/1", f, th)
+	if f2, th2 := tbl.TierCounters(); f2 != fz || th2 != th+1 {
+		t.Fatalf("tier counters = %d/%d after one thaw from %d/%d", f2, th2, fz, th)
 	}
+	checkTiers("thawed")
 }
 
 // TestFrozenPartitionPrunesWithoutColdBytes is the tentpole's central
@@ -131,31 +122,32 @@ func TestFrozenPartitionPrunesWithoutColdBytes(t *testing.T) {
 		t.Fatal("freeze refused")
 	}
 
-	for _, locked := range []bool{false, true} {
-		tbl.SetLockedReads(locked)
-		stats.Reset()
-		if got := tbl.Select(1); len(got) != 40 {
-			t.Fatalf("locked=%v: Select(1) = %d hits", locked, len(got))
-		}
-		if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
-			t.Fatalf("locked=%v: pruned query read %d cold pages / %d cold bytes", locked, cp, cb)
-		}
-
-		// SelectWhere prunes by synopsis + zone maps, still zero cold I/O.
-		res, rep := tbl.SelectWhere([]Pred{{Attr: 2, Op: Ge, Value: entity.Int(0)}})
-		if len(res) != 40 || rep.PartitionsPruned == 0 {
-			t.Fatalf("locked=%v: SelectWhere = %d hits, pruned %d", locked, len(res), rep.PartitionsPruned)
-		}
-		if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
-			t.Fatalf("locked=%v: pruned SelectWhere read %d cold pages / %d cold bytes", locked, cp, cb)
-		}
-
-		// A query that needs the frozen partition still answers exactly.
-		if got := tbl.Select(50); len(got) != 40 {
-			t.Fatalf("locked=%v: Select(50) = %d hits", locked, len(got))
-		}
+	stats.Reset()
+	if got := tbl.Select(1); len(got) != 40 {
+		t.Fatalf("Select(1) = %d hits", len(got))
 	}
-	tbl.SetLockedReads(false)
+	if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
+		t.Fatalf("pruned query read %d cold pages / %d cold bytes", cp, cb)
+	}
+
+	// SelectWhere prunes by synopsis + zone maps, still zero cold I/O.
+	pruned := []Pred{{Attr: 2, Op: Ge, Value: entity.Int(0)}}
+	res, rep := tbl.SelectWhere(pruned)
+	if len(res) != 40 || rep.PartitionsPruned == 0 {
+		t.Fatalf("SelectWhere = %d hits, pruned %d", len(res), rep.PartitionsPruned)
+	}
+	if cp, cb := stats.ColdSnapshot(); cp != 0 || cb != 0 {
+		t.Fatalf("pruned SelectWhere read %d cold pages / %d cold bytes", cp, cb)
+	}
+
+	// The oracle agrees on both — results, report, and the zero cold
+	// delta — and on a query that needs the frozen partition.
+	checkOracle(t, "pruned select", tbl, oracleSelect(synopsis.Of(1)),
+		func() ([]Result, QueryReport) { return tbl.SelectWithReport(synopsis.Of(1)) })
+	checkOracle(t, "pruned where", tbl, oracleWhere(tbl, pruned),
+		func() ([]Result, QueryReport) { return tbl.SelectWhere(pruned) })
+	checkOracle(t, "cold select", tbl, oracleSelect(synopsis.Of(50)),
+		func() ([]Result, QueryReport) { return tbl.SelectWithReport(synopsis.Of(50)) })
 
 	// A scan that needs the cold tier charges the cold counters. Freeze
 	// afresh so the per-segment resident-block cache is empty and the

@@ -258,7 +258,7 @@ func (t *Table) RebuildZoneMaps() {
 // predNeed validates preds and returns the set of predicate attributes.
 // An entity lacking any of them cannot satisfy the conjunction (SQL null
 // semantics), so the set prunes both partitions (against the partition
-// synopsis) and individual records (against the sidecar).
+// synopsis) and individual records (as the kernel's conjunction program).
 func predNeed(preds []Pred) *synopsis.Set {
 	if len(preds) == 0 {
 		panic("table: SelectWhere needs at least one predicate")
@@ -277,8 +277,8 @@ func predNeed(preds []Pred) *synopsis.Set {
 // Partitions are pruned when (a) their attribute synopsis misses any
 // predicate attribute or (b) any predicate cannot overlap the
 // partition's value zone for that attribute. Within surviving
-// partitions, snapshot scans additionally skip — without decoding —
-// records whose sidecar synopsis misses a predicate attribute.
+// partitions the bitmap kernel skips — without decoding — records
+// lacking a predicate attribute.
 func (t *Table) SelectWhere(preds []Pred) ([]Result, QueryReport) {
 	return t.SelectWhereSpanned(preds, t.observer().StartQuery(obs.KindSelectWhere))
 }
@@ -289,106 +289,15 @@ func (t *Table) SelectWhereSpanned(preds []Pred, sp *obs.QuerySpan) ([]Result, Q
 	if sp.WantDetail() {
 		sp.SetQuery(t.describeWhere(preds))
 	}
-	if t.lockedReads.Load() {
-		return t.selectWhereLocked(preds, sp)
-	}
-	return t.selectWhereSnap(preds, sp)
-}
-
-func (t *Table) selectWhereLocked(preds []Pred, sp *obs.QuerySpan) ([]Result, QueryReport) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	start := t.obsStart()
 	need := predNeed(preds)
-
-	var rep QueryReport
-	pids := t.sortedPIDs()
-	rep.PartitionsTotal = len(pids)
-	survivors := pids[:0]
-	for _, pid := range pids {
-		syn := t.attrSyn[pid]
-		if syn == nil || !synopsis.Subset(need, syn) {
-			rep.PartitionsPruned++
-			sp.Prune(uint64(pid), obs.PruneSynopsisMissing)
-			continue
+	prune := func(ps *partSnap) (obs.PruneReason, bool) {
+		if ps.syn == nil || !synopsis.Subset(need, ps.syn) {
+			return obs.PruneSynopsisMissing, true
 		}
-		if !t.zonesOverlap(pid, preds) {
-			rep.PartitionsPruned++
-			sp.Prune(uint64(pid), obs.PruneZoneMiss)
-			continue
-		}
-		survivors = append(survivors, pid)
+		return obs.PruneZoneMiss, !t.zonesOverlap(ps.pid, preds)
 	}
-	rep.PartitionsTouched = len(survivors)
-
-	parts := make([]partScan, len(survivors))
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		return t.scanPartitionWhere(survivors[i], preds)
-	})
-	out := mergeScans(parts, &rep)
-
-	ns := lapNs(start)
-	t.noteQuery(rep, ns)
-	t.noteScans(sp, parts, rep, ns)
-	return out, rep
-}
-
-func (t *Table) selectWhereSnap(preds []Pred, sp *obs.QuerySpan) ([]Result, QueryReport) {
-	start := t.obsStart()
-	need := predNeed(preds)
-
-	// Zone maps shrink only when RebuildZoneMaps swaps in fresh ones; the
-	// generation check makes sure the maps used for pruning were current
-	// for the captured snapshot (retry on the rare race with a rebuild).
-	var snap tableSnap
-	var survivors []*partSnap
-	var rep QueryReport
-	for {
-		gen := t.zoneGen.Load()
-		snap = t.capture()
-		rep = QueryReport{PartitionsTotal: len(snap.parts)}
-		survivors = survivors[:0]
-		sp.ResetPrunes() // a zone-rebuild retry re-prunes from scratch
-		for _, ps := range snap.parts {
-			if ps.syn == nil || !synopsis.Subset(need, ps.syn) {
-				rep.PartitionsPruned++
-				sp.Prune(uint64(ps.pid), obs.PruneSynopsisMissing)
-				continue
-			}
-			if !t.zonesOverlap(ps.pid, preds) {
-				rep.PartitionsPruned++
-				sp.Prune(uint64(ps.pid), obs.PruneZoneMiss)
-				continue
-			}
-			survivors = append(survivors, ps)
-		}
-		if t.zoneGen.Load() == gen {
-			break
-		}
-	}
-	rep.PartitionsTouched = len(survivors)
-
-	parts := make([]partScan, len(survivors))
-	useBitmap := t.bitmapScans.Load()
-	var prog storage.BitmapProgram
-	if useBitmap {
-		prog = whereProgram(need)
-	}
-	t.runTimedScans(parts, sp.TimeScans(), func(i int) partScan {
-		if useBitmap {
-			if sc, ok := scanSnapPartWhereBitmap(survivors[i], preds, prog); ok {
-				return sc
-			}
-		}
-		return scanSnapPartWhere(survivors[i], preds, need)
-	})
-	out := mergeScans(parts, &rep)
-
-	ns := lapNs(start)
-	t.noteQuery(rep, ns)
-	t.noteScans(sp, parts, rep, ns)
-	releaseScanScratches(parts)
-	return out, rep
+	match := func(e *entity.Entity) bool { return entityMatches(e, preds) }
+	return t.runQuery(sp, prune, storage.BitmapProgram{Attrs: need.Elements(nil)}, match)
 }
 
 func (t *Table) zonesOverlap(pid core.PartitionID, preds []Pred) bool {
@@ -420,18 +329,6 @@ func entityMatches(e *entity.Entity, preds []Pred) bool {
 		}
 	}
 	return true
-}
-
-func (t *Table) sortedPIDs() []core.PartitionID {
-	pids := make([]core.PartitionID, 0, len(t.segs)+len(t.cold))
-	for pid := range t.segs {
-		pids = append(pids, pid)
-	}
-	for pid := range t.cold {
-		pids = append(pids, pid)
-	}
-	sortPIDs(pids)
-	return pids
 }
 
 func sortPIDs(pids []core.PartitionID) {

@@ -9,6 +9,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# One-read-path gate: the read-mode toggles and the per-record synopsis
+# sidecar were deleted in favour of snapshot + bitmap kernel only; none
+# of them may reappear in non-test Go.
+echo "== one-read-path gate"
+if grep -rnE 'SetLockedReads|SetBitmapScans|\[\]\[\]\*synopsis\.Set' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "verify: a deleted read-path toggle or sidecar field is back"; exit 1
+fi
+
 echo "== go test -race ./..."
 go test -race ./...
 
@@ -55,49 +63,27 @@ go test -race \
 	-run 'TestBinary|TestFrame|TestReadFrame|TestAttrs|TestDictDelta|TestHello|TestDecodeSteadyStateZeroAlloc|TestServer' \
 	./internal/wire ./client
 
-# Snapshot-read pass: the mixed read/write contract — continuous writers
-# vs. lock-free ScanAll/Select/SelectWhere readers on Table and Sharded,
-# storage view immutability under mutation, locked-vs-snapshot
-# QueryReport equivalence, and reads served mid-drain — must hold under
-# the race detector.
-echo "== go test -race snapshot read suite"
-go test -race \
-	-run 'TestSnapshot|TestView|TestSidecar|TestShardedConcurrentWritersScanAll|TestServerReadsServedDuringDrain' \
+# Read-path pass: the one read path's contract — results, QueryReport,
+# Stats deltas and decode set equal to the brute-force oracle across
+# both tiers, the presence matrix tracking a test-owned model through
+# insert/delete/vacuum/freeze/thaw with views readable mid-mutation,
+# continuous writers vs. lock-free ScanAll/Select/SelectWhere readers on
+# Table and Sharded, the zero-allocation scan guarantee, a decoded cold
+# image refusing to be scanned, and reads served mid-drain — must hold
+# under the race detector, twice.
+echo "== go test -race read path suite"
+go test -race -count=2 \
+	-run 'TestSnapshot|TestQueriesMatchOracle|TestBitmap|TestScanDecodedColdImageFails|TestShardedConcurrentWritersScanAll|TestServerReadsServedDuringDrain' \
 	./internal/table ./internal/storage ./internal/shard ./internal/server
-
-# Bitmap scan-kernel pass: the word-parallel kernel's equivalence
-# contract — candidate sets, results, QueryReport counters, and Stats
-# deltas bit-identical to the per-record sidecar path (and the locked
-# full-decode baseline) across both tiers, under concurrent churn, with
-# the captured-view stability and zero-allocation guarantees — must
-# hold under the race detector.
-echo "== go test -race bitmap scan suite"
-go test -race -run 'TestBitmap' ./internal/storage ./internal/table
-
-# Scan bench gate: the kernel must beat the per-record sidecar baseline
-# by >= 3x on the selective bucket of the coarse-partitioned arm, with
-# the bitmap-vs-sidecar equivalence sweep green and a fully pruned
-# frozen partition charging zero cold bytes (BENCH_scan.json tracks the
-# full-scale run; this re-measures at smoke scale).
-echo "== scan kernel gate"
-SCAN_JSON=$(mktemp)
-go run ./cmd/cinderella-bench -exp scan -entities 20000 -json "$SCAN_JSON"
-grep -q '"within_budget": true' "$SCAN_JSON" \
-	|| { echo "verify: bitmap kernel speedup under 3x"; cat "$SCAN_JSON"; exit 1; }
-grep -q '"equivalence_ok": true' "$SCAN_JSON" \
-	|| { echo "verify: bitmap and sidecar scans disagree"; cat "$SCAN_JSON"; exit 1; }
-grep -q '"prune_zero_cold_ok": true' "$SCAN_JSON" \
-	|| { echo "verify: pruned frozen scan charged cold bytes"; cat "$SCAN_JSON"; exit 1; }
-rm -f "$SCAN_JSON"
 
 # Recluster pass: the background reclusterer's integrity contract — no
 # entity lost or duplicated under concurrent writers/readers (including
-# a full reopen recount), locked-vs-snapshot equivalence mid-migration,
+# a full reopen recount), reads exact against the oracle mid-migration,
 # shard-stamped progress, heat decay, and the manager unit suite — must
 # hold under the race detector.
 echo "== go test -race recluster suite"
 go test -race -run 'TestRecluster|TestHeat|TestVictimSelection|TestGovernorThrottles|TestPauseResume|TestOutcomeSettlement|TestWorkloadBlender|TestDebugReclusterEndpoint' \
-	./internal/recluster ./internal/obs ./internal/shard .
+	./internal/recluster ./internal/obs ./internal/shard ./internal/table .
 
 # Tier pass: the tiered-storage integrity contract — freeze/thaw
 # round trips that preserve record ids, frozen partitions pruned with
@@ -365,5 +351,9 @@ kill -TERM "$DPID"
 wait "$DPID" || true
 [ "$DOCS" = "500" ] || { echo "verify: reopened tier daemon has $DOCS docs, want 500"; exit 1; }
 echo "tier smoke: idle partitions frozen, drained, and recounted through the cold tier"
+
+# The "net non-test LoC per PR" figure (ROADMAP aim 2).
+echo "== non-test Go lines"
+./scripts/loc.sh
 
 echo "verify: OK"
