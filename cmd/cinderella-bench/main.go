@@ -1,72 +1,76 @@
 // Command cinderella-bench regenerates the paper's evaluation artifacts
-// (Figures 4–8, Table I, and the EFFICIENCY comparison) and prints the
-// same rows/series the paper reports.
+// (Figures 4–8, Table I, the EFFICIENCY comparison, and the cache and
+// churn studies) and prints the same rows/series the paper reports.
 //
 // Usage:
 //
-//	cinderella-bench [-exp all|fig4|fig5|fig6|fig7|fig8|tab1|efficiency|hotpath|obs|server|shard|trace|recluster|tier]
-//	                 [-entities N] [-sf F] [-seed S] [-json FILE] [-obs :PORT]
-//	                 [-allow-serial] [-cpuprofile FILE] [-memprofile FILE]
+//	cinderella-bench [-exp NAME] [-entities N] [-sf F] [-seed S]
+//	                 [-cpuprofile FILE] [-memprofile FILE]
 //
-// The defaults reproduce the paper's scale (100 000 DBpedia-like
-// entities); use -entities to run faster at smaller scale.
+// -exp takes "all" or one name from the experiments list below; -h prints
+// them. The defaults reproduce the paper's scale (100 000 DBpedia-like
+// entities); use -entities to run faster at smaller scale. -cpuprofile
+// and -memprofile write pprof profiles of the run.
 //
-// The hotpath experiment benchmarks the fused rating kernel, the insert
-// path, and the serial-vs-parallel query scan; -json writes its result as
-// a machine-readable baseline (the repo tracks one in BENCH_hotpath.json)
-// so successive PRs can compare trajectories. Because hotpath's headline
-// number is a serial-vs-parallel comparison, it refuses to run with
-// GOMAXPROCS < 2 (exit 2) unless -allow-serial is given — a baseline
-// recorded on a serial box would silently report speedup 1.0x. The obs
-// experiment measures the telemetry layer's overhead (instrumented vs.
-// uninstrumented; the repo tracks BENCH_obs.json). The shard experiment
-// measures write-path scaling across 1/2/4/8 hash-routed shards (the
-// repo tracks BENCH_shard.json). Read-path numbers come from the
-// end-to-end benchmark (bash bench/run.sh --workload query). With
-// -obs :PORT the process serves the ops endpoint (/metrics, /debug/vars,
-// /debug/pprof) while experiments run. -cpuprofile and -memprofile write
-// pprof profiles of the run.
+// This command reproduces the paper; it does not measure the system.
+// Performance numbers come from the end-to-end benchmark (bash
+// bench/run.sh) and the go test -bench benchmarks beside the code.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"cinderella/internal/experiments"
-	"cinderella/internal/obs"
 )
 
-var knownExps = []string{
-	"all", "fig4", "fig5", "fig6", "fig7", "fig8", "tab1",
-	"efficiency", "cache", "churn", "hotpath", "obs", "server", "shard",
-	"trace", "recluster", "tier",
+// exps is the one list of experiments, in the order "all" runs them:
+// validation, the -exp help text and the dispatch all derive from it.
+var exps = []struct {
+	name string
+	run  func(experiments.Options)
+}{
+	{"fig4", func(o experiments.Options) { experiments.Fig4(o).Print(os.Stdout) }},
+	{"fig5", func(o experiments.Options) { experiments.Fig5(o).Print(os.Stdout) }},
+	{"fig6", func(o experiments.Options) { experiments.Fig6(o).Print(os.Stdout) }},
+	{"fig7", func(o experiments.Options) { experiments.Fig7(o).Print(os.Stdout) }},
+	{"fig8", func(o experiments.Options) { experiments.Fig8(o).Print(os.Stdout) }},
+	{"tab1", func(o experiments.Options) { experiments.TableI(o).Print(os.Stdout) }},
+	{"efficiency", func(o experiments.Options) { experiments.Efficiency(o).Print(os.Stdout) }},
+	{"churn", func(o experiments.Options) { experiments.Churn(o).Print(os.Stdout) }},
+	{"cache", func(o experiments.Options) { experiments.CacheLocality(o).Print(os.Stdout) }},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig4, fig5, fig6, fig7, fig8, tab1, efficiency, cache, churn, hotpath, obs, server, shard, trace, recluster, tier")
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+	known := "all, " + strings.Join(names, ", ")
+
+	exp := flag.String("exp", "all", "experiment: "+known)
 	entities := flag.Int("entities", 100000, "DBpedia-like entity count")
 	sf := flag.Float64("sf", 0.02, "TPC-H-style scale factor for tab1")
 	seed := flag.Int64("seed", 1, "PRNG seed")
-	jsonPath := flag.String("json", "", "write the hotpath/obs/server result as JSON to this file")
-	obsAddr := flag.String("obs", "", "serve the ops endpoint on this address (e.g. :8080) while running")
-	allowSerial := flag.Bool("allow-serial", false, "let hotpath run with GOMAXPROCS < 2 (its serial-vs-parallel comparison degenerates to 1.0x)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the experiments finish) to this file")
 	flag.Parse()
 
 	// Validate up front: a typo'd -exp must fail before minutes of data
 	// generation, not after.
-	known := false
-	for _, k := range knownExps {
-		known = known || k == *exp
+	selected := exps[:0:0]
+	for _, e := range exps {
+		if *exp == "all" || *exp == e.name {
+			selected = append(selected, e)
+		}
 	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %v)\n", *exp, knownExps)
+	if len(selected) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", *exp, known)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -77,17 +81,6 @@ func main() {
 	if *sf <= 0 {
 		fmt.Fprintf(os.Stderr, "-sf must be positive, got %v\n", *sf)
 		os.Exit(2)
-	}
-	// hotpath's headline number is a serial-vs-parallel comparison; a
-	// baseline recorded at GOMAXPROCS=1 would report select_speedup
-	// ~1.0x and poison trajectory comparisons. Fail fast, before any
-	// experiment burns minutes of data generation.
-	if *exp == "all" || *exp == "hotpath" {
-		if procs := runtime.GOMAXPROCS(0); procs < 2 && !*allowSerial {
-			fmt.Fprintf(os.Stderr,
-				"hotpath: GOMAXPROCS=%d < 2 — the serial-vs-parallel comparison is degenerate; rerun with -allow-serial to record anyway\n", procs)
-			os.Exit(2)
-		}
 	}
 
 	// Profiling covers the whole experiment run.
@@ -125,125 +118,9 @@ func main() {
 	}
 
 	o := experiments.Options{Entities: *entities, Seed: *seed, TPCHSF: *sf}
-	if *obsAddr != "" {
-		reg := obs.New(obs.Options{})
-		o.Obs = reg
-		go func() {
-			if err := reg.Serve(*obsAddr); err != nil {
-				fmt.Fprintf(os.Stderr, "obs endpoint: %v\n", err)
-			}
-		}()
-		fmt.Printf("ops endpoint on %s (/metrics /debug/vars /debug/pprof)\n\n", *obsAddr)
-	}
-
-	writeJSON := func(v any) {
-		if *jsonPath == "" {
-			return
-		}
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		b = append(b, '\n')
-		if err := os.WriteFile(*jsonPath, b, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-
-	run := func(name string, f func()) {
+	for _, e := range selected {
 		start := time.Now()
-		f()
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	want := func(name string) bool {
-		return *exp == "all" || *exp == name
-	}
-
-	if want("fig4") {
-		run("fig4", func() { experiments.Fig4(o).Print(os.Stdout) })
-	}
-	if want("fig5") {
-		run("fig5", func() { experiments.Fig5(o).Print(os.Stdout) })
-	}
-	if want("fig6") {
-		run("fig6", func() { experiments.Fig6(o).Print(os.Stdout) })
-	}
-	if want("fig7") {
-		run("fig7", func() { experiments.Fig7(o).Print(os.Stdout) })
-	}
-	if want("fig8") {
-		run("fig8", func() { experiments.Fig8(o).Print(os.Stdout) })
-	}
-	if want("tab1") {
-		run("tab1", func() { experiments.TableI(o).Print(os.Stdout) })
-	}
-	if want("efficiency") {
-		run("efficiency", func() { experiments.Efficiency(o).Print(os.Stdout) })
-	}
-	if want("churn") {
-		run("churn", func() { experiments.Churn(o).Print(os.Stdout) })
-	}
-	if want("cache") {
-		run("cache", func() { experiments.CacheLocality(o).Print(os.Stdout) })
-	}
-	if want("hotpath") {
-		run("hotpath", func() {
-			r := experiments.Hotpath(o)
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("obs") {
-		run("obs", func() {
-			r := experiments.ObsOverhead(o)
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("server") {
-		run("server", func() {
-			r := experiments.ServerBench(o)
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("shard") {
-		run("shard", func() {
-			r := experiments.ShardBench(o)
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("trace") {
-		run("trace", func() {
-			r := experiments.TraceBench(o)
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("recluster") {
-		run("recluster", func() {
-			r, err := experiments.ReclusterBench(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "recluster: %v\n", err)
-				os.Exit(1)
-			}
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
-	}
-	if want("tier") {
-		run("tier", func() {
-			r, err := experiments.TierBench(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tier: %v\n", err)
-				os.Exit(1)
-			}
-			r.Print(os.Stdout)
-			writeJSON(r)
-		})
+		e.run(o)
+		fmt.Printf("[%s done in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -10,7 +10,7 @@
 //	                [-strategy cinderella|universal|hash|roundrobin|schemaexact]
 //	                [-obs :PORT] [-hold] [-slow-query D]
 //	cinderella-load -target http://HOST:PORT [-entities N] [-clients N]
-//	                [-readers N] [-shift-at N] [-zipf S] [-json FILE] [-trace]
+//	                [-readers N] [-json FILE] [-trace]
 //
 // With -target the data set is driven through a running cinderellad
 // instead of an embedded table: -clients concurrent workers insert over
@@ -20,16 +20,9 @@
 // workers that hammer GET /v1/query for the whole duration of the
 // insert phase — the mixed read/write workload the lock-free snapshot
 // path is built for — and reports read throughput next to the insert
-// numbers. -shift-at N flips the readers' attribute mix (first half of
-// the attribute list → second half) once N inserts have been acked: an
-// adversarial workload shift for driving the server's background
-// reclusterer (cinderellad -recluster) and the recluster e2e smoke.
-// -zipf S (S > 1) skews the readers' attribute choice with a Zipf
-// distribution so a few attributes absorb most of the heat — the
-// workload shape that lets the server's tiering manager
-// (cinderellad -tier) freeze the partitions the readers never touch.
-// Local-only flags (-w, -b, -strategy,
-// -obs, -hold) are rejected in this mode: the server owns partitioning.
+// numbers. Local-only flags (-w, -b, -strategy, -obs, -hold) are
+// rejected in this mode: the server owns partitioning. This is a load
+// CLI, not a benchmark: measured numbers come from bash bench/run.sh.
 //
 // With -obs the process serves the live ops endpoint (Prometheus
 // /metrics, /debug/vars, /debug/pprof) while loading and probing; -hold
@@ -45,8 +38,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
 	"net/url"
 	"os"
 	"sync"
@@ -149,18 +140,9 @@ func main() {
 	hold := flag.Bool("hold", false, "with -obs: keep serving after the report until interrupted")
 	slowQuery := flag.Duration("slow-query", 0, "with -obs: retain queries slower than this in the slow-query ring (/debug/slow)")
 	trace := flag.Bool("trace", false, "with -target: run the probe queries with an inline server-side trace")
-	target := flag.String("target", "", "drive a running cinderellad at this base URL instead of an embedded table (with -proto binary: a host:port)")
+	target := flag.String("target", "", "drive a running cinderellad at this base URL instead of an embedded table")
 	clients := flag.Int("clients", 16, "with -target: concurrent insert workers")
 	readers := flag.Int("readers", 0, "with -target: concurrent query workers running alongside the inserts")
-	zipf := flag.Float64("zipf", 0, "with -target and -readers: Zipf skew exponent for the readers' attribute choice (0 = uniform round-robin; must be > 1, e.g. 1.2)")
-	shiftAt := flag.Int("shift-at", 0, "with -target and -readers: flip the readers' query attribute mix after N acked inserts (adversarial workload shift)")
-	proto := flag.String("proto", "http", "with -target: protocol to drive, http or binary")
-	batch := flag.Int("batch", 1, "with -target: ops per client-side batch (http >1 uses /v1/bulk)")
-	payload := flag.Int("payload", 0, "with -target: extra pad bytes added to every document")
-	sweep := flag.Bool("sweep", false, "with -target: run the clients×payload×batch sweep instead of a single run")
-	sweepClients := flag.String("sweep-clients", "1,16,64", "with -sweep: comma-separated client counts")
-	sweepPayloads := flag.String("sweep-payloads", "0,256", "with -sweep: comma-separated pad byte sizes")
-	sweepBatches := flag.String("sweep-batches", "1,16,128", "with -sweep: comma-separated batch sizes")
 	flag.Parse()
 
 	// Validate everything up front so bad invocations fail fast with a
@@ -190,18 +172,6 @@ func main() {
 	if *readers > 0 && *target == "" {
 		errs = append(errs, "-readers requires -target (it drives reads against a live daemon)")
 	}
-	if *shiftAt < 0 {
-		errs = append(errs, fmt.Sprintf("-shift-at must be non-negative, got %d", *shiftAt))
-	}
-	if *shiftAt > 0 && *readers == 0 {
-		errs = append(errs, "-shift-at requires -readers (it flips the readers' query mix)")
-	}
-	if *zipf != 0 && *zipf <= 1 {
-		errs = append(errs, fmt.Sprintf("-zipf must be > 1 (Zipf exponent; 0 disables skew), got %v", *zipf))
-	}
-	if *zipf != 0 && *readers == 0 {
-		errs = append(errs, "-zipf requires -readers (it skews the readers' attribute choice)")
-	}
 	if *hold && *obsAddr == "" {
 		errs = append(errs, "-hold requires -obs")
 	}
@@ -211,43 +181,12 @@ func main() {
 	if *trace && *target == "" {
 		errs = append(errs, "-trace requires -target (it asks the server for inline traces)")
 	}
-	if *proto != "http" && *proto != "binary" {
-		errs = append(errs, fmt.Sprintf("-proto must be http or binary, got %q", *proto))
-	}
-	if *batch < 1 {
-		errs = append(errs, fmt.Sprintf("-batch must be >= 1, got %d", *batch))
-	}
-	if *payload < 0 {
-		errs = append(errs, fmt.Sprintf("-payload must be non-negative, got %d", *payload))
-	}
 	if *target != "" {
-		if *proto == "binary" {
-			if _, _, err := net.SplitHostPort(*target); err != nil {
-				errs = append(errs, fmt.Sprintf("-target with -proto binary must be host:port, got %q", *target))
-			}
-		} else if u, err := url.Parse(*target); err != nil || u.Scheme == "" || u.Host == "" {
+		if u, err := url.Parse(*target); err != nil || u.Scheme == "" || u.Host == "" {
 			errs = append(errs, fmt.Sprintf("-target must be a base URL like http://127.0.0.1:8263, got %q", *target))
 		}
 		if *obsAddr != "" || *hold {
 			errs = append(errs, "-obs/-hold apply only to local mode (the server has its own /metrics)")
-		}
-	} else if *proto != "http" || *batch > 1 || *payload > 0 || *sweep {
-		errs = append(errs, "-proto/-batch/-payload/-sweep require -target (they drive a live daemon)")
-	}
-	var clientsList, payloadList, batchList []int
-	if *sweep {
-		var err error
-		if clientsList, err = parseIntList(*sweepClients); err != nil {
-			errs = append(errs, "-sweep-clients: "+err.Error())
-		}
-		if payloadList, err = parseIntList(*sweepPayloads); err != nil {
-			errs = append(errs, "-sweep-payloads: "+err.Error())
-		}
-		if batchList, err = parseIntList(*sweepBatches); err != nil {
-			errs = append(errs, "-sweep-batches: "+err.Error())
-		}
-		if *readers > 0 {
-			errs = append(errs, "-readers applies only to the single-run http mode, not -sweep")
 		}
 	}
 	if len(errs) > 0 {
@@ -273,17 +212,7 @@ func main() {
 	}
 
 	if *target != "" {
-		// The bench-harness path: any cell shape beyond the plain
-		// single-run HTTP load, or an explicit sweep.
-		if *sweep || *proto == "binary" || *batch > 1 || *payload > 0 {
-			cells := buildCells(*sweep, *clients, *payload, *batch, clientsList, payloadList, batchList)
-			if err := runNetBench(*proto, *target, ds, cells); err != nil {
-				fmt.Fprintln(os.Stderr, "cinderella-load: "+err.Error())
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runTarget(*target, ds, *clients, *readers, *shiftAt, *zipf, *trace); err != nil {
+		if err := runTarget(*target, ds, *clients, *readers, *trace); err != nil {
 			fmt.Fprintln(os.Stderr, "cinderella-load: "+err.Error())
 			os.Exit(1)
 		}
@@ -388,17 +317,8 @@ func main() {
 // runTarget drives the data set through a running cinderellad: concurrent
 // durable inserts (with optional concurrent query readers for a mixed
 // read/write workload), then the probe queries server-side (traced
-// inline when trace is set). With shiftAt > 0 the readers start on the
-// first half of the attribute list and flip to the second half once
-// shiftAt inserts have been acked — an adversarial workload shift that
-// invalidates whatever layout the partitioner adapted to, which is the
-// scenario the background reclusterer exists to recover from. With
-// zipf > 1 the readers draw attribute indices from a Zipf distribution
-// with that exponent instead of cycling uniformly, concentrating heat
-// on a few attributes — the skewed read mix that leaves the rest of the
-// partitions cold enough for the server's tiering manager
-// (cinderellad -tier) to freeze.
-func runTarget(base string, ds *datagen.Dataset, workers, readers, shiftAt int, zipf float64, trace bool) error {
+// inline when trace is set).
+func runTarget(base string, ds *datagen.Dataset, workers, readers int, trace bool) error {
 	ctx := context.Background()
 	c, err := client.New(base)
 	if err != nil {
@@ -431,19 +351,8 @@ func runTarget(base string, ds *datagen.Dataset, workers, readers, shiftAt int, 
 		}
 	}
 
-	// The pre- and post-shift query mixes: without -shift-at both halves
-	// are the whole list and the readers behave as before; with it, the
-	// readers hammer the first half until shiftAt inserts are acked,
-	// then abruptly switch to attributes they have never queried.
-	preMix, postMix := attrNames, attrNames
-	if shiftAt > 0 && len(attrNames) >= 2 {
-		preMix = attrNames[:len(attrNames)/2]
-		postMix = attrNames[len(attrNames)/2:]
-	}
-
 	var next, acked, failed atomic.Int64
-	var reads, readFails, preReads, postReads atomic.Int64
-	var shifted atomic.Bool
+	var reads, readFails atomic.Int64
 	var firstErr, firstReadErr atomic.Value
 	stopReads := make(chan struct{})
 	start := time.Now()
@@ -470,38 +379,17 @@ func runTarget(base string, ds *datagen.Dataset, workers, readers, shiftAt int, 
 		rwg.Add(1)
 		go func(k int) {
 			defer rwg.Done()
-			// rand.Zipf is not safe for concurrent use, so each reader
-			// owns one. Ranking the full attribute list and folding into
-			// the current mix keeps the skew shape across a -shift-at
-			// flip even though the halves differ in length.
-			var zr *rand.Zipf
-			if zipf > 1 {
-				zr = rand.NewZipf(rand.New(rand.NewSource(int64(k)+1)), zipf, 1, uint64(len(attrNames)-1))
-			}
 			for {
 				select {
 				case <-stopReads:
 					return
 				default:
 				}
-				mix, phase := preMix, &preReads
-				if shiftAt > 0 && acked.Load() >= int64(shiftAt) {
-					mix, phase = postMix, &postReads
-					if shifted.CompareAndSwap(false, true) {
-						fmt.Printf("workload shift at %d acked inserts: readers now query the second attribute half (%d attrs)\n",
-							acked.Load(), len(postMix))
-					}
-				}
-				idx := k % len(mix)
-				if zr != nil {
-					idx = int(zr.Uint64()) % len(mix)
-				}
-				if _, err := c.Query(ctx, mix[idx]); err != nil {
+				if _, err := c.Query(ctx, attrNames[k%len(attrNames)]); err != nil {
 					readFails.Add(1)
 					firstReadErr.CompareAndSwap(nil, err)
 				} else {
 					reads.Add(1)
-					phase.Add(1)
 				}
 				k++
 			}
@@ -519,17 +407,9 @@ func runTarget(base string, ds *datagen.Dataset, workers, readers, shiftAt int, 
 		fmt.Printf("  %d inserts failed (first: %v)\n", n, firstErr.Load())
 	}
 	if readers > 0 {
-		skew := "uniform"
-		if zipf > 1 {
-			skew = fmt.Sprintf("zipf s=%g", zipf)
-		}
-		fmt.Printf("concurrent reads: %d queries in %v (%.0f reads/s, %d readers, %s)\n",
+		fmt.Printf("concurrent reads: %d queries in %v (%.0f reads/s, %d readers)\n",
 			reads.Load(), elapsed.Round(time.Millisecond),
-			float64(reads.Load())/elapsed.Seconds(), readers, skew)
-		if shiftAt > 0 {
-			fmt.Printf("  workload shift at %d acked: %d pre-shift reads, %d post-shift reads\n",
-				shiftAt, preReads.Load(), postReads.Load())
-		}
+			float64(reads.Load())/elapsed.Seconds(), readers)
 		if n := readFails.Load(); n > 0 {
 			fmt.Printf("  %d reads failed (first: %v)\n", n, firstReadErr.Load())
 		}

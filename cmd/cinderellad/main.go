@@ -11,7 +11,7 @@
 //	            [-strategy cinderella|universal|hash|roundrobin|schemaexact]
 //	            [-inflight N] [-read-inflight N] [-queue N]
 //	            [-commit-delay D] [-commit-max N]
-//	            [-per-op-sync] [-addr-file PATH] [-checkpoint-on-exit=false]
+//	            [-addr-file PATH] [-checkpoint-on-exit=false]
 //	            [-slow-query D] [-trace-sample N]
 //	            [-recluster] [-recluster-interval D] [-recluster-batch N]
 //	            [-recluster-rate R] [-recluster-alpha A] [-recluster-halflife D]
@@ -105,7 +105,6 @@ func main() {
 	queue := flag.Int("queue", 0, "admission queue depth beyond -inflight (0 = default)")
 	commitDelay := flag.Duration("commit-delay", 0, "group-commit window (0 = default)")
 	commitMax := flag.Int("commit-max", 0, "max ops per group commit (0 = default)")
-	perOpSync := flag.Bool("per-op-sync", false, "fsync every write individually instead of group-committing")
 	reqTimeout := flag.Duration("timeout", 0, "per-request server-side timeout (0 = default)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this to the slow-query ring (/debug/slow); 0 disables")
 	traceSample := flag.Int("trace-sample", 0, "trace every Nth query (0 = default 64, <0 disables tracing)")
@@ -254,7 +253,6 @@ func main() {
 		RequestTimeout:  *reqTimeout,
 		CommitDelay:     *commitDelay,
 		CommitMaxOps:    *commitMax,
-		PerOpSync:       *perOpSync,
 		Obs:             reg,
 	})
 
@@ -280,11 +278,7 @@ func main() {
 	// a binary batch and an HTTP insert can share one fsync.
 	var wsrv *wire.Server
 	if *binAddr != "" {
-		var ack wire.Acker
-		if com := srv.Committer(); com != nil {
-			ack = com
-		}
-		wsrv = wire.New(ws, ack, wire.Config{Obs: reg})
+		wsrv = wire.New(ws, srv.Committer(), wire.Config{Obs: reg})
 		bln, err := net.Listen("tcp", *binAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cinderellad: listen %s: %v\n", *binAddr, err)

@@ -21,7 +21,6 @@ import (
 
 	"cinderella/internal/core"
 	"cinderella/internal/datagen"
-	"cinderella/internal/obs"
 	"cinderella/internal/synopsis"
 	"cinderella/internal/table"
 	"cinderella/internal/workload"
@@ -36,11 +35,6 @@ type Options struct {
 	// QueryBuckets × QueriesPerBucket representative queries.
 	QueryBuckets     int
 	QueriesPerBucket int
-	// Obs, when non-nil, is the telemetry registry experiments feed (the
-	// hotpath snapshot replay uses it; cmd/cinderella-bench passes the
-	// registry behind its -obs endpoint). Experiments that compare
-	// instrumented against uninstrumented runs manage their own.
-	Obs *obs.Registry
 }
 
 func (o Options) withDefaults() Options {

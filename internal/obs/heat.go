@@ -194,16 +194,6 @@ func (r *Registry) HeatHalfLife() time.Duration {
 	return time.Duration(r.heat.halfLifeNs.Load())
 }
 
-// DecayHeat immediately multiplies every heat counter by factor in
-// [0, 1) — an explicit decay step for callers that pace decay
-// themselves (benches, tests) rather than by wall clock. Nil-safe.
-func (r *Registry) DecayHeat(factor float64) {
-	if r == nil || r.heat == nil {
-		return
-	}
-	r.heat.decay(factor)
-}
-
 // ResetHeat zeroes one partition's heat counters. The reclusterer
 // calls it after migrating a victim: the old counters described a
 // membership that no longer exists, and fresh queries should measure

@@ -21,7 +21,7 @@ func TestHeatDecayRecentWorkloadWins(t *testing.T) {
 		}
 	}
 	// The workload shifts: only one registry forgets the old phase.
-	decayed.DecayHeat(0.01)
+	decayed.heat.decay(0.01)
 	// New phase: partition 1 turns cold, partition 2 turns hot.
 	for i := 0; i < 20; i++ {
 		for _, r := range []*Registry{decayed, control} {

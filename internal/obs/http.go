@@ -21,7 +21,8 @@ import (
 //	/debug/tier  tiering manager status and freeze/thaw counters, JSON
 //	/debug/pprof net/http/pprof profiles
 //
-// cmd/cinderella-load and cmd/cinderella-bench wire it behind -obs :PORT.
+// cmd/cinderella-load wires it behind -obs :PORT; cinderellad mounts it on
+// its API listener.
 
 // expvarReg is the registry backing the published "cinderella" expvar;
 // the latest registry to call Mux/Serve wins.

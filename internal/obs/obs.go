@@ -712,8 +712,7 @@ type ShardSnapshot struct {
 }
 
 // Snapshot is a point-in-time JSON-serializable view of the registry,
-// embedded by cmd/cinderella-bench -json so BENCH_*.json files carry
-// observability data.
+// published under "cinderella" at /debug/vars.
 type Snapshot struct {
 	Counters         map[string]int64             `json:"counters"`
 	Partitions       int64                        `json:"partitions"`

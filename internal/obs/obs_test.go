@@ -217,7 +217,7 @@ func TestTraceConcurrentWriters(t *testing.T) {
 }
 
 // TestSnapshotJSON: the snapshot must round-trip through encoding/json —
-// the bench harness embeds it in BENCH_*.json files.
+// /debug/vars publishes it through expvar.
 func TestSnapshotJSON(t *testing.T) {
 	r := New(Options{})
 	r.Add(CInserts, 2)

@@ -83,7 +83,9 @@ func TestReclusterRecoversAfterShift(t *testing.T) {
 
 	// The workload shifts: forget the old mix, measure B on the frozen
 	// layout, then let the reclusterer chase the new workload.
-	reg.DecayHeat(0)
+	for _, h := range reg.HeatSnapshot() {
+		reg.ResetHeat(h.Shard, h.Partition)
+	}
 	effFrozen := sweep(dt.Table, "b")
 	for r := 0; r < 8; r++ {
 		sweep(dt.Table, "b")

@@ -286,8 +286,7 @@ func (m *Manager) refill() {
 
 // Tick runs one round: settle last round's outcomes, select victims
 // from the heat map, migrate them (per-shard workers), account. It is
-// the synchronous entry the bench and tests drive; Run calls it on a
-// timer.
+// the synchronous entry tests drive; Run calls it on a timer.
 func (m *Manager) Tick() Round {
 	m.mu.Lock()
 	if m.paused {

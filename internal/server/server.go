@@ -80,9 +80,6 @@ type Config struct {
 	CommitDelay time.Duration
 	// CommitMaxOps flushes a commit batch early at this many waiters.
 	CommitMaxOps int
-	// PerOpSync disables group commit: every mutating request fsyncs
-	// individually. For benchmarking the win, not for production.
-	PerOpSync bool
 	// Obs receives server counters, gauges, and histograms; its ops
 	// endpoint (/metrics, /debug/vars, /debug/pprof) is mounted on the
 	// server mux when non-nil.
@@ -159,9 +156,7 @@ func New(d Store, cfg Config) *Server {
 		rsem:     make(chan struct{}, cfg.MaxReadInflight),
 		queued:   make(chan struct{}, cfg.MaxQueue),
 		draining: make(chan struct{}),
-	}
-	if !cfg.PerOpSync {
-		s.com = NewCommitter(d, cfg.CommitMaxOps, cfg.CommitDelay, cfg.Obs)
+		com:      NewCommitter(d, cfg.CommitMaxOps, cfg.CommitDelay, cfg.Obs),
 	}
 	s.mux = http.NewServeMux()
 	s.route("POST /v1/insert", s.handleInsert)
@@ -195,8 +190,8 @@ func New(d Store, cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Committer returns the group committer acknowledging this server's
-// writes, or nil under PerOpSync. The binary wire server shares it so
-// one fsync covers a batch of writes across both protocols.
+// writes. The binary wire server shares it so one fsync covers a batch
+// of writes across both protocols.
 func (s *Server) Committer() *Committer { return s.com }
 
 // route registers an API handler behind admission control, the request
@@ -337,11 +332,8 @@ func (s *Server) isDraining() bool {
 }
 
 // ack waits for lsn to be durable under the request context — the
-// group-commit ack. With PerOpSync it fsyncs directly instead.
+// group-commit ack.
 func (s *Server) ack(r *http.Request, lsn uint64) error {
-	if s.com == nil {
-		return s.d.SyncTo(lsn)
-	}
 	return s.com.Commit(r.Context(), lsn)
 }
 
@@ -365,9 +357,7 @@ func (s *Server) BeginDrain() {
 // rather than corrupting the log.
 func (s *Server) Finish(checkpoint bool) error {
 	s.BeginDrain()
-	if s.com != nil {
-		s.com.Stop()
-	}
+	s.com.Stop()
 	var firstErr error
 	if err := s.d.Sync(); err != nil && !errors.Is(err, cinderella.ErrClosed) {
 		firstErr = err

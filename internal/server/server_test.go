@@ -469,24 +469,6 @@ func TestCommitterCommitRespectsContext(t *testing.T) {
 	}
 }
 
-// TestServerPerOpSyncMode covers the benchmark baseline: no committer,
-// each write fsyncs itself.
-func TestServerPerOpSyncMode(t *testing.T) {
-	h := newHarness(t, Config{PerOpSync: true})
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := h.cl.Insert(ctx, client.Doc{"i": int64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if syncs := h.reg.Counter(obs.CWALSyncs); syncs < 5 {
-		t.Fatalf("per-op sync mode did only %d fsyncs for 5 inserts", syncs)
-	}
-	if h.reg.Counter(obs.CGroupCommits) != 0 {
-		t.Fatal("per-op sync mode ran group commits")
-	}
-}
-
 // TestServerReadsServedDuringDrain covers the read/write separation: a
 // draining server rejects writes with 503 but keeps serving the
 // read-only routes until the listener stops, because snapshot reads are

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cinderella"
@@ -542,5 +543,59 @@ func TestShardedConcurrentWritersScanAll(t *testing.T) {
 		if doc, ok := s.Get(rec.ID); !ok || !reflect.DeepEqual(doc, rec.Doc) {
 			t.Fatalf("ScanAll doc for %d = %v, point read = %v (found %v)", rec.ID, rec.Doc, doc, ok)
 		}
+	}
+}
+
+// BenchmarkShardedInsert is the write-scaling series: the same document
+// stream loaded durably (inserts from 8 writers plus the final vector
+// sync, all inside the timed region) into 1, 2, 4 and 8 shards. B is
+// small so the unsharded catalog runs to hundreds of partitions: each
+// shard partitions ~1/N of the data, so the O(#partitions) rating scan
+// per insert shrinks with N and the gain does not depend on core count.
+func BenchmarkShardedInsert(b *testing.B) {
+	const writers, numDocs = 8, 4000
+	cfg := cinderella.Config{Weight: 0.2, PartitionSizeLimit: 20}
+	rng := rand.New(rand.NewSource(1))
+	docs := make([]cinderella.Doc, numDocs)
+	for i := range docs {
+		docs[i] = docFor(rng)
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s, err := Open(b.TempDir(), Options{Shards: n, Config: cfg})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for j := int(next.Add(1)) - 1; j < numDocs; j = int(next.Add(1)) - 1 {
+							if _, err := s.Insert(docs[j]); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				if err := s.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if got := s.Len(); got != numDocs {
+					b.Fatalf("Len = %d, want %d", got, numDocs)
+				}
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(numDocs)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+		})
 	}
 }

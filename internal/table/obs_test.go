@@ -2,9 +2,7 @@ package table
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
-	"time"
 
 	"cinderella/internal/core"
 	"cinderella/internal/entity"
@@ -126,81 +124,6 @@ func TestStreamingEfficiencyMatchesMetrics(t *testing.T) {
 			t.Fatalf("seed %d: partitions gauge = %d, table has %d", seed, got, want)
 		}
 	}
-}
-
-// TestSetParallelismRace flips the scan-worker bound while queries,
-// inserts, and stats reads are in flight. Run under -race this is the
-// regression test for the parallelism field's atomic conversion.
-func TestSetParallelismRace(t *testing.T) {
-	tbl := newParTable(0)
-	tbl.SetObserver(obs.New(obs.Options{}))
-	fillTable(tbl, 600, 13)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Flipper: hammer SetParallelism through its whole range.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			tbl.SetParallelism(i % 9) // 0 restores GOMAXPROCS
-		}
-	}()
-
-	// Writer: keeps partitions changing under the flips.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(17))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			e := &entity.Entity{}
-			a := 8 + rng.Intn(64)
-			e.Set(a, entity.Int(int64(a)))
-			e.Set(1, entity.Float(float64(rng.Intn(1000))))
-			tbl.Insert(e)
-		}
-	}()
-
-	// Readers: every query path plus the stats accessors.
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				switch rng.Intn(4) {
-				case 0:
-					tbl.Select(8 + rng.Intn(64))
-				case 1:
-					tbl.SelectWhere([]Pred{{Attr: 1, Op: Lt, Value: entity.Float(500)}})
-				case 2:
-					tbl.QueryStats()
-				case 3:
-					tbl.ScanAll()
-				}
-			}
-		}(int64(r))
-	}
-
-	time.Sleep(200 * time.Millisecond)
-	close(stop)
-	wg.Wait()
 }
 
 // TestTraceLifecycle drives a partition through its whole life —

@@ -38,7 +38,7 @@ func (t *Table) scanParts(survivors []*partSnap, prog storage.BitmapProgram, mat
 		parts[i].ns = time.Since(st).Nanoseconds()
 	}
 	n := len(parts)
-	workers := min(int(t.parallelism.Load()), n)
+	workers := min(t.parallelism, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			scan(i)

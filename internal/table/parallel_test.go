@@ -191,7 +191,7 @@ func BenchmarkSelectParallel(b *testing.B) {
 	for _, par := range []int{1, 0} {
 		name := "serial"
 		if par == 0 {
-			name = fmt.Sprintf("parallel-%d", newParTable(0).parallelism.Load())
+			name = fmt.Sprintf("parallel-%d", newParTable(0).parallelism)
 		}
 		b.Run(name, func(b *testing.B) {
 			tbl := newParTable(par)

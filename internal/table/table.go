@@ -105,9 +105,8 @@ type Table struct {
 	stats    *storage.Stats
 
 	// parallelism is the worker bound for partition scans (resolved from
-	// Config.Parallelism; 1 = serial). Atomic so SetParallelism is safe
-	// against concurrent queries without taking the table write lock.
-	parallelism atomic.Int32
+	// Config.Parallelism in New and fixed from then on; 1 = serial).
+	parallelism int
 
 	// obsv holds the optional telemetry registry. Atomic so lock-free
 	// snapshot readers and SetObserver need no lock ordering between
@@ -218,7 +217,7 @@ func New(cfg Config) *Table {
 		dirty:     make(map[core.PartitionID]struct{}),
 	}
 	t.dir.Store(&partDir{})
-	t.parallelism.Store(int32(par))
+	t.parallelism = par
 	t.assigner.SetMoveListener(t.onPlacement)
 	if cfg.Obs != nil {
 		t.setObserverLocked(cfg.Obs)
@@ -259,17 +258,6 @@ func (t *Table) numPartsLocked() int64 {
 
 // Dict returns the table's attribute dictionary.
 func (t *Table) Dict() *entity.Dictionary { return t.dict }
-
-// SetParallelism adjusts the partition-scan worker bound at runtime (see
-// Config.Parallelism). n <= 0 restores the GOMAXPROCS default; 1 scans
-// serially. The bound is atomic, so it can be flipped while queries are
-// in flight: each query reads it once at scan start.
-func (t *Table) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	t.parallelism.Store(int32(n))
-}
 
 // Stats returns the I/O counter shared by all segments.
 func (t *Table) Stats() *storage.Stats { return t.stats }
