@@ -332,6 +332,7 @@ func (c *Cinderella) split(p *partition, ent *Entity, prev PartitionID) Partitio
 
 	pa := c.newPartition()
 	pb := c.newPartition()
+	c.notify(Placement{From: p.id, Dissolve: true})
 
 	// Move the starters first (lines 29–30). Either starter may be the
 	// incoming entity itself (it can have claimed a starter slot in
@@ -378,10 +379,11 @@ func (c *Cinderella) split(p *partition, ent *Entity, prev PartitionID) Partitio
 	}
 
 	// Place the incoming entity itself unless it already went in as a
-	// starter.
+	// starter. (c.loc cannot tell: in a cascade, ent is a member of the
+	// outer split's source and still located there.)
 	var result PartitionID
-	if pid, placed := c.loc[ent.ID]; placed {
-		result = pid
+	if starterA.ID == ent.ID || starterB.ID == ent.ID {
+		result = c.loc[ent.ID]
 	} else {
 		result = c.insert(ent, c.liveTargets(targets), prev)
 	}
@@ -577,9 +579,9 @@ func (c *Cinderella) dropPartition(p *partition) {
 	c.notify(Placement{Entity: 0, From: p.id, To: NoPartition})
 }
 
-// notify reports a placement if a listener is registered. A Placement
-// with Entity==0 signals that partition From was dropped. Relocations of
-// existing entities (From set) are traced as moves.
+// notify reports a placement if a listener is registered (see Placement
+// for its kinds). Relocations of existing entities (From set) are traced
+// as moves.
 func (c *Cinderella) notify(pl Placement) {
 	if pl.Entity != 0 && pl.From != NoPartition {
 		c.trace(obs.Event{Kind: obs.EvMove, Entity: uint64(pl.Entity), From: uint64(pl.From), To: uint64(pl.To)})

@@ -330,37 +330,144 @@ func TestUpdateVacatedPartitionDropped(t *testing.T) {
 	}
 }
 
-func TestMoveListenerSeesAllPlacements(t *testing.T) {
-	c := NewCinderella(cfg(0.5, 4))
-	shadow := make(map[EntityID]PartitionID)
-	live := make(map[PartitionID]bool)
+// placementShadow rebuilds placement purely from listener events and
+// checks the dissolution contract as they arrive: after a Dissolve
+// exactly the source's members are placed out of it, nothing is placed
+// into it, and then it is dropped. Any other drop is of an empty
+// partition.
+type placementShadow struct {
+	loc  map[EntityID]PartitionID
+	live map[PartitionID]bool
+	// leaving holds, per dissolving partition, the members not yet
+	// placed out of it.
+	leaving   map[PartitionID]map[EntityID]bool
+	dissolved int
+}
+
+func watchPlacements(t *testing.T, c *Cinderella) *placementShadow {
+	s := &placementShadow{
+		loc:     make(map[EntityID]PartitionID),
+		live:    make(map[PartitionID]bool),
+		leaving: make(map[PartitionID]map[EntityID]bool),
+	}
+	members := func(pid PartitionID) map[EntityID]bool {
+		out := make(map[EntityID]bool)
+		for id, p := range s.loc {
+			if p == pid {
+				out[id] = true
+			}
+		}
+		return out
+	}
 	c.SetMoveListener(func(pl Placement) {
-		if pl.Entity == 0 {
-			// Partition drop signal.
-			if !live[pl.From] {
+		switch {
+		case pl.Dissolve:
+			if !s.live[pl.From] || s.leaving[pl.From] != nil {
+				t.Fatalf("dissolve of partition %d (live %v, already dissolving %v)", pl.From, s.live[pl.From], s.leaving[pl.From] != nil)
+			}
+			s.leaving[pl.From] = members(pl.From)
+			s.dissolved++
+		case pl.Entity == 0:
+			if !s.live[pl.From] {
 				t.Fatalf("drop of unknown partition %d", pl.From)
 			}
-			delete(live, pl.From)
-			return
+			if m := members(pl.From); len(m) != 0 {
+				t.Fatalf("partition %d dropped while %d members were never placed out of it", pl.From, len(m))
+			}
+			delete(s.leaving, pl.From)
+			delete(s.live, pl.From)
+		default:
+			if s.leaving[pl.To] != nil {
+				t.Fatalf("entity %d placed into dissolving partition %d", pl.Entity, pl.To)
+			}
+			if rest := s.leaving[pl.From]; rest != nil {
+				if !rest[pl.Entity] {
+					t.Fatalf("entity %d placed out of dissolving partition %d, but it is not a member still there", pl.Entity, pl.From)
+				}
+				delete(rest, pl.Entity)
+			}
+			s.live[pl.To] = true
+			s.loc[pl.Entity] = pl.To
 		}
-		live[pl.To] = true
-		shadow[pl.Entity] = pl.To
 	})
-	rng := rand.New(rand.NewSource(3))
-	for i := 1; i <= 300; i++ {
-		c.Insert(ent(EntityID(i), rng.Intn(4), 4+rng.Intn(4)))
+	return s
+}
+
+// check requires the shadow to agree with Locate and the catalog, with
+// every dissolution closed by its drop.
+func (s *placementShadow) check(t *testing.T, c *Cinderella, ids EntityID) {
+	t.Helper()
+	if len(s.leaving) != 0 {
+		t.Fatalf("%d dissolved partitions never dropped", len(s.leaving))
 	}
-	// The shadow built purely from listener events must agree with Locate.
-	for i := 1; i <= 300; i++ {
-		want, _ := c.Locate(EntityID(i))
-		if shadow[EntityID(i)] != want {
-			t.Fatalf("entity %d: listener says %v, Locate says %v", i, shadow[EntityID(i)], want)
+	for id := EntityID(1); id <= ids; id++ {
+		want, _ := c.Locate(id)
+		if s.loc[id] != want {
+			t.Fatalf("entity %d: listener says %v, Locate says %v", id, s.loc[id], want)
 		}
 	}
-	// Live partition set must agree with the catalog.
-	if len(live) != c.NumPartitions() {
-		t.Fatalf("listener live = %d, catalog = %d", len(live), c.NumPartitions())
+	if len(s.live) != c.NumPartitions() {
+		t.Fatalf("listener live = %d, catalog = %d", len(s.live), c.NumPartitions())
 	}
+}
+
+func TestMoveListenerSeesAllPlacements(t *testing.T) {
+	t.Run("churn", func(t *testing.T) {
+		c := NewCinderella(cfg(0.5, 4))
+		s := watchPlacements(t, c)
+		rng := rand.New(rand.NewSource(3))
+		mk := func(id EntityID) Entity { return ent(id, rng.Intn(4), 4+rng.Intn(4)) }
+		const n = 300
+		for i := 1; i <= n; i++ {
+			c.Insert(mk(EntityID(i)))
+		}
+		for i := 1; i <= n; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				delete(s.loc, EntityID(i))
+				c.Delete(EntityID(i))
+			case 1:
+				c.Update(mk(EntityID(i)))
+			}
+		}
+		if c.Compact(1.0) == 0 {
+			t.Fatal("fixture: Compact merged nothing")
+		}
+		st := c.Stats()
+		if want := int(st.Splits + st.Merges); s.dissolved != want {
+			t.Fatalf("%d dissolutions for %d splits and %d merges", s.dissolved, st.Splits, st.Merges)
+		}
+		s.check(t, c, n)
+	})
+
+	t.Run("cascade", func(t *testing.T) {
+		// A count limit never cascades: a split redistributes B+1
+		// entities over two partitions that each start with one. Bytes
+		// can: identical synopses rate identically, so the tie goes to
+		// the lower id, and deleting starter 1 lets the incoming entity 5
+		// take its slot. Splitting {2,3,4} + 5 puts 5 in the first
+		// successor with 3, and 4 no longer fits there.
+		c := NewCinderella(Config{Weight: 0.5, MaxSize: 10, SizeMode: SizeBytes})
+		s := watchPlacements(t, c)
+		sized := func(id EntityID, size int64) Entity {
+			e := ent(id, 1, 2)
+			e.Size = size
+			return e
+		}
+		for id, size := range []int64{1, 1, 4, 4} {
+			c.Insert(sized(EntityID(id+1), size))
+		}
+		delete(s.loc, 1)
+		c.Delete(1)
+		c.Insert(sized(5, 4))
+		if st := c.Stats(); st.Splits != 2 || st.SplitCascades != 1 {
+			t.Fatalf("fixture: %d splits, %d cascaded; want 2, 1", st.Splits, st.SplitCascades)
+		}
+		if s.dissolved != 2 {
+			t.Fatalf("%d dissolutions for 2 splits", s.dissolved)
+		}
+		s.check(t, c, 5)
+	})
 }
 
 func TestStatsCounters(t *testing.T) {

@@ -98,8 +98,9 @@ func (c *Cinderella) bestMergeTarget(small *partition) *partition {
 	return best
 }
 
-// merge moves every member of src into dst and drops src.
+// merge dissolves src: it moves every member into dst and drops src.
 func (c *Cinderella) merge(src, dst *partition) {
+	c.notify(Placement{From: src.id, Dissolve: true})
 	for _, id := range src.liveOrder() {
 		m, ok := src.members[id]
 		if !ok {

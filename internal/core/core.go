@@ -106,19 +106,32 @@ func (c Config) entitySize(e *Entity) int64 {
 	return 1
 }
 
-// Placement describes where an entity lives after an operation.
+// Placement describes where an entity lives after an operation. It comes
+// in three kinds:
+//
+//   - Entity != 0: the entity is placed in To. From is NoPartition for a
+//     fresh insert, the entity's old partition for an update move, and
+//     otherwise the dissolving partition the entity moves out of.
+//   - Dissolve: partition From is being dissolved by a split or merge.
+//     Every member of From is placed again (From set to it) within the
+//     same operation, nothing is placed into From afterwards, and From
+//     is then dropped. Dissolutions nest: a target that splits while a
+//     split redistributes into it dissolves by the same rule.
+//   - Entity == 0 and !Dissolve: partition From was dropped.
 type Placement struct {
-	Entity EntityID
-	From   PartitionID // 0 (NoPartition) for fresh inserts
-	To     PartitionID
+	Entity   EntityID
+	From     PartitionID // 0 (NoPartition) for fresh inserts
+	To       PartitionID
+	Dissolve bool
 }
 
 // NoPartition is the zero PartitionID, never assigned to a real partition.
 const NoPartition PartitionID = 0
 
 // MoveListener observes every physical placement change: fresh inserts
-// (From == NoPartition), split moves, and update moves. The table layer
-// uses it to relocate records between segments.
+// (From == NoPartition), update moves, dissolutions and the split and
+// merge moves inside them, and drops. The table layer uses it to
+// relocate records between segments.
 type MoveListener func(Placement)
 
 // Assigner is the placement interface shared by Cinderella and the

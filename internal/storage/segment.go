@@ -97,6 +97,11 @@ func (s *Stats) addWrite(pages, bytes int64) {
 //     bitset and swaps the clones in; Vacuum rebuilds the chain and the
 //     matrix from scratch. Nothing reachable from a view is mutated.
 //
+// A partition that a split or merge dissolves needs neither: its records
+// are read in place, appended to their new segments, and the whole
+// segment is dropped inside the same mutation (see table.onPlacement),
+// so no view ever sees it half emptied and no page is cloned.
+//
 // The Stats counters and the optional BufferCache are internally
 // synchronized, so callers holding a shared lock (Read, Scan) may run
 // concurrently with each other.

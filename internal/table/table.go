@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,8 +126,8 @@ type Table struct {
 	// attrRefs maintains the exact per-partition attribute synopsis for
 	// query pruning; it is independent of the partitioner's synopses,
 	// which may be query-relevance sets under workload-based mode.
-	// attrSyn values are copy-on-flip: they are replaced, never mutated,
-	// once published (snapshot readers hold them by pointer).
+	// attrSyn values are copy-on-flip once published: they are replaced,
+	// never mutated (snapshot readers hold them by pointer).
 	attrRefs  map[core.PartitionID]map[int]int
 	attrSyn   map[core.PartitionID]*synopsis.Set
 	entityAtt map[core.EntityID]*synopsis.Set // attribute synopsis cache
@@ -157,8 +158,16 @@ type Table struct {
 	// in-flight insert/update state consumed by the move listener
 	pending      []byte
 	pendingID    core.EntityID
+	pendingEnt   *entity.Entity
 	pendingAttrs *synopsis.Set
 	pendingDone  bool
+
+	// Dissolution state, writer-private under mu (see onPlacement):
+	// dissolving counts the records moved out of each partition a split
+	// or merge is dissolving; absorbed lists the (target, source) pairs
+	// whose zone maps were merged since the outermost dissolution began.
+	dissolving map[core.PartitionID]int
+	absorbed   [][2]core.PartitionID
 
 	// qmu guards queries: query counters are updated by lock-free
 	// readers, so they need their own mutex.
@@ -201,20 +210,21 @@ func New(cfg Config) *Table {
 		par = 1
 	}
 	t := &Table{
-		dict:      cfg.Dict,
-		assigner:  cfg.Partitioner,
-		synizer:   cfg.Synopsizer,
-		stats:     cfg.Stats,
-		cache:     cfg.Cache,
-		segs:      make(map[core.PartitionID]*storage.Segment),
-		cold:      make(map[core.PartitionID]*storage.ColdSegment),
-		rows:      make(map[core.EntityID]rowLoc),
-		attrRefs:  make(map[core.PartitionID]map[int]int),
-		attrSyn:   make(map[core.PartitionID]*synopsis.Set),
-		entityAtt: make(map[core.EntityID]*synopsis.Set),
-		zones:     make(map[core.PartitionID]map[int]*zoneEntry),
-		handles:   make(map[core.PartitionID]*partHandle),
-		dirty:     make(map[core.PartitionID]struct{}),
+		dict:       cfg.Dict,
+		assigner:   cfg.Partitioner,
+		synizer:    cfg.Synopsizer,
+		stats:      cfg.Stats,
+		cache:      cfg.Cache,
+		segs:       make(map[core.PartitionID]*storage.Segment),
+		cold:       make(map[core.PartitionID]*storage.ColdSegment),
+		rows:       make(map[core.EntityID]rowLoc),
+		attrRefs:   make(map[core.PartitionID]map[int]int),
+		attrSyn:    make(map[core.PartitionID]*synopsis.Set),
+		entityAtt:  make(map[core.EntityID]*synopsis.Set),
+		zones:      make(map[core.PartitionID]map[int]*zoneEntry),
+		handles:    make(map[core.PartitionID]*partHandle),
+		dirty:      make(map[core.PartitionID]struct{}),
+		dissolving: make(map[core.PartitionID]int),
 	}
 	t.dir.Store(&partDir{})
 	t.parallelism = par
@@ -307,44 +317,29 @@ func lapNs(start time.Time) int64 {
 	return time.Since(start).Nanoseconds()
 }
 
-// onPlacement reacts to the partitioner's placement stream: it writes the
-// in-flight record on fresh placement and physically moves records on
-// split/update moves.
+// onPlacement reacts to the partitioner's placement stream (see
+// core.Placement for its kinds):
+//
+//   - The in-flight record's placement writes t.pending into its
+//     partition and widens the zone map from the entity in hand.
+//   - A dissolution opens a split or merge of pl.From. Each member then
+//     moves out with one placement: its record is read in place and
+//     appended to the target — no copy, no delete, no decode. The
+//     source needs no copy-on-write per moved record because it is
+//     dropped whole inside the same mutation, so no snapshot ever sees
+//     it half emptied. A target's zone map absorbs the source's once,
+//     a superset of every moved record's values; when the outermost
+//     dissolution ends, targets that were never published (a split's
+//     successors) are trimmed to their attribute synopsis. A merge's
+//     published destination keeps the wider map.
+//   - A drop removes pl.From's segment whole (see drop).
 func (t *Table) onPlacement(pl core.Placement) {
-	if pl.Entity == 0 {
-		// Partition dropped.
-		seg := t.segs[pl.From]
-		if seg != nil {
-			if seg.NumRecords() != 0 {
-				panic(fmt.Sprintf("table: partitioner dropped non-empty partition %d", pl.From))
-			}
-			seg.DropFromCache()
-		}
-		if cs := t.cold[pl.From]; cs != nil {
-			// Unreachable in practice: member removals thaw first, so a
-			// frozen partition is never empty, and the partitioner only
-			// drops empty partitions. Refuse data loss if it ever happens.
-			if cs.NumRecords() != 0 {
-				panic(fmt.Sprintf("table: partitioner dropped non-empty frozen partition %d", pl.From))
-			}
-			cs.DropFromCache()
-			delete(t.cold, pl.From)
-		}
-		delete(t.segs, pl.From)
-		delete(t.attrRefs, pl.From)
-		delete(t.attrSyn, pl.From)
-		t.zmu.Lock()
-		delete(t.zones, pl.From)
-		t.zmu.Unlock()
-		// Dropping a partition removes zone info mid-mutation, but a
-		// snapshot reader may have captured a pre-mutation cut that still
-		// carries the partition's records (its merged-away records only
-		// appear in the destination at endMut). Bump the zone generation
-		// so runQuery re-captures instead of pruning that
-		// partition against the now-absent zone map.
-		t.zoneGen.Add(1)
-		t.markDirty(pl.From)
-		t.dirChanged = true
+	switch {
+	case pl.Dissolve:
+		t.dissolving[pl.From] = 0
+		return
+	case pl.Entity == 0:
+		t.drop(pl.From)
 		return
 	}
 
@@ -352,26 +347,26 @@ func (t *Table) onPlacement(pl core.Placement) {
 	var attrs *synopsis.Set
 	if pl.Entity == t.pendingID && !t.pendingDone {
 		// First physical placement of the in-flight record.
-		rec = t.pending
-		attrs = t.pendingAttrs
+		rec, attrs = t.pending, t.pendingAttrs
 		t.pendingDone = true
+		t.entityAtt[pl.Entity] = attrs
+		t.zoneWiden(pl.To, t.pendingEnt)
 	} else {
-		// Relocation of an existing record (split or cascade).
-		loc, ok := t.rows[pl.Entity]
-		if !ok {
-			panic(fmt.Sprintf("table: move of unknown entity %d", pl.Entity))
+		loc := t.rows[pl.Entity]
+		moved, ok := t.dissolving[loc.pid]
+		if !ok || loc.pid != pl.From {
+			panic(fmt.Sprintf("table: move of entity %d out of partition %d, which is not dissolving", pl.Entity, pl.From))
 		}
 		b, err := t.seg(loc.pid).Read(loc.rid)
 		if err != nil {
 			panic(fmt.Sprintf("table: moving entity %d: %v", pl.Entity, err))
 		}
-		rec = append([]byte(nil), b...)
-		if err := t.seg(loc.pid).Delete(loc.rid); err != nil {
-			panic(fmt.Sprintf("table: deleting moved entity %d: %v", pl.Entity, err))
+		rec, attrs = b, t.entityAtt[pl.Entity]
+		t.dissolving[loc.pid] = moved + 1
+		if pair := [2]core.PartitionID{pl.To, loc.pid}; !slices.Contains(t.absorbed, pair) {
+			t.absorbed = append(t.absorbed, pair)
+			t.zoneAbsorb(pl.To, loc.pid)
 		}
-		attrs = t.entityAtt[pl.Entity]
-		t.refRemove(loc.pid, attrs)
-		t.markDirty(loc.pid)
 	}
 
 	rid, err := t.seg(pl.To).InsertTagged(rec, attrs)
@@ -379,13 +374,57 @@ func (t *Table) onPlacement(pl core.Placement) {
 		panic(fmt.Sprintf("table: inserting entity %d into partition %d: %v", pl.Entity, pl.To, err))
 	}
 	t.rows[pl.Entity] = rowLoc{pid: pl.To, rid: rid}
-	if t.entityAtt[pl.Entity] == nil {
-		t.entityAtt[pl.Entity] = attrs
-	}
 	t.refAdd(pl.To, attrs)
 	t.markDirty(pl.To)
-	if _, e, err := decodeRecord(rec); err == nil {
-		t.zoneWiden(pl.To, e)
+}
+
+// drop removes a partition the partitioner dropped. A dissolved
+// partition still holds every record it had — each was appended to its
+// new partition — so it must hold exactly as many as moved out; any
+// other partition must be empty. Anything else would lose data.
+func (t *Table) drop(pid core.PartitionID) {
+	moved := t.dissolving[pid]
+	delete(t.dissolving, pid)
+	if seg := t.segs[pid]; seg != nil {
+		if seg.NumRecords() != moved {
+			panic(fmt.Sprintf("table: partitioner dropped partition %d holding %d records, %d moved out", pid, seg.NumRecords(), moved))
+		}
+		seg.DropFromCache()
+	}
+	if cs := t.cold[pid]; cs != nil {
+		// Unreachable in practice: removals and moves reach a frozen
+		// partition through seg(), which thaws it first.
+		if cs.NumRecords() != moved {
+			panic(fmt.Sprintf("table: partitioner dropped frozen partition %d holding %d records, %d moved out", pid, cs.NumRecords(), moved))
+		}
+		cs.DropFromCache()
+		delete(t.cold, pid)
+	}
+	delete(t.segs, pid)
+	delete(t.attrRefs, pid)
+	delete(t.attrSyn, pid)
+	t.zmu.Lock()
+	delete(t.zones, pid)
+	t.zmu.Unlock()
+	// Dropping a partition removes zone info mid-mutation, but a
+	// snapshot reader may have captured a pre-mutation cut that still
+	// carries the partition's records (its merged-away records only
+	// appear in the destination at endMut). Bump the zone generation
+	// so runQuery re-captures instead of pruning that
+	// partition against the now-absent zone map.
+	t.zoneGen.Add(1)
+	t.markDirty(pid)
+	t.dirChanged = true
+
+	if len(t.dissolving) == 0 {
+		// The outermost split or merge is complete: no record moves into
+		// an absorbing target any more.
+		for _, pair := range t.absorbed {
+			if t.handles[pair[0]] == nil {
+				t.zoneTrim(pair[0])
+			}
+		}
+		t.absorbed = t.absorbed[:0]
 	}
 }
 
@@ -416,6 +455,9 @@ func (t *Table) seg(pid core.PartitionID) *storage.Segment {
 // when membership actually changes (an attribute's refcount crosses zero)
 // and the clone replaces the map entry, so pointers held by published
 // snapshots stay frozen while the common no-flip case mutates nothing.
+// A partition without a published handle (one created in the current
+// mutation, such as a split's successor) has no such readers, so refAdd
+// grows its set in place.
 func (t *Table) refAdd(pid core.PartitionID, attrs *synopsis.Set) {
 	refs := t.attrRefs[pid]
 	if refs == nil {
@@ -423,19 +465,17 @@ func (t *Table) refAdd(pid core.PartitionID, attrs *synopsis.Set) {
 		t.attrRefs[pid] = refs
 		t.attrSyn[pid] = synopsis.New(0)
 	}
-	var cl *synopsis.Set
-	for _, a := range attrs.Elements(nil) {
+	syn, shared := t.attrSyn[pid], t.handles[pid] != nil
+	attrs.ForEach(func(a int) {
 		if refs[a] == 0 {
-			if cl == nil {
-				cl = t.attrSyn[pid].Clone()
+			if shared {
+				syn, shared = syn.Clone(), false
 			}
-			cl.Add(a)
+			syn.Add(a)
 		}
 		refs[a]++
-	}
-	if cl != nil {
-		t.attrSyn[pid] = cl
-	}
+	})
+	t.attrSyn[pid] = syn
 }
 
 func (t *Table) refRemove(pid core.PartitionID, attrs *synopsis.Set) {
@@ -529,10 +569,12 @@ func decodeRecord(rec []byte) (core.EntityID, *entity.Entity, error) {
 	return core.EntityID(id), e, err
 }
 
-// beginOp stages the record bytes for the placement listener.
+// beginOp stages the record bytes and the entity for the placement
+// listener.
 func (t *Table) beginOp(id core.EntityID, e *entity.Entity) {
 	t.pending = encodeRecord(id, e)
 	t.pendingID = id
+	t.pendingEnt = e
 	t.pendingAttrs = e.Synopsis().Clone()
 	t.pendingDone = false
 }
@@ -542,7 +584,7 @@ func (t *Table) endOp(id core.EntityID) {
 	if !t.pendingDone {
 		panic(fmt.Sprintf("table: entity %d was never placed", id))
 	}
-	t.pending, t.pendingID, t.pendingAttrs = nil, 0, nil
+	t.pending, t.pendingID, t.pendingEnt, t.pendingAttrs = nil, 0, nil, nil
 }
 
 // Get returns a copy of the entity with the given id.
@@ -664,23 +706,31 @@ func (t *Table) Vacuum() int {
 	t.beginMut()
 	defer t.endMut()
 	released := 0
+	remaps := make(map[core.PartitionID]map[storage.RecordID]storage.RecordID, len(t.segs))
 	for pid, seg := range t.segs {
 		before := seg.NumPages()
-		remap := seg.Vacuum()
+		remaps[pid] = seg.Vacuum()
 		released += before - seg.NumPages()
 		t.markDirty(pid)
-		for id, loc := range t.rows {
-			if loc.pid != pid {
-				continue
-			}
-			nid, ok := remap[loc.rid]
-			if !ok {
-				panic(fmt.Sprintf("table: entity %d lost during vacuum", id))
-			}
-			t.rows[id] = rowLoc{pid: pid, rid: nid}
-		}
 	}
+	t.remapRows(remaps)
 	return released
+}
+
+// remapRows moves the row index onto the record ids vacuumed partitions
+// got (old → new per partition), in one pass over the rows.
+func (t *Table) remapRows(remaps map[core.PartitionID]map[storage.RecordID]storage.RecordID) {
+	for id, loc := range t.rows {
+		remap, vacuumed := remaps[loc.pid]
+		if !vacuumed {
+			continue
+		}
+		nid, ok := remap[loc.rid]
+		if !ok {
+			panic(fmt.Sprintf("table: entity %d lost while vacuuming partition %d", id, loc.pid))
+		}
+		t.rows[id] = rowLoc{pid: loc.pid, rid: nid}
+	}
 }
 
 // Len returns the number of live entities.

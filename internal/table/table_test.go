@@ -2,6 +2,7 @@ package table
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cinderella/internal/core"
@@ -413,5 +414,37 @@ func TestTableVacuum(t *testing.T) {
 	}
 	if res := tbl.Select(1); len(res) != n {
 		t.Fatalf("Select after vacuum = %d, want %d", len(res), n)
+	}
+
+	// Many partitions: every one is vacuumed and its rows remapped.
+	multi := newTestTable(0.5, 100)
+	all := map[core.EntityID]*entity.Entity{}
+	pad := entity.Str(strings.Repeat("p", 300)) // several pages per partition
+	for i := 0; i < 1200; i++ {
+		e := mkEnt(i%3, 3+i%4)
+		e.Set(10, pad)
+		all[multi.Insert(e)] = e
+	}
+	kept := map[core.EntityID]*entity.Entity{}
+	for id, e := range all {
+		if id%5 == 0 {
+			kept[id] = e
+		} else {
+			multi.Delete(id)
+		}
+	}
+	if multi.NumPartitions() < 4 {
+		t.Fatalf("fixture: %d partitions", multi.NumPartitions())
+	}
+	if released := multi.Vacuum(); released < multi.NumPartitions() {
+		t.Fatalf("vacuum of %d partitions released %d pages", multi.NumPartitions(), released)
+	}
+	for id, e := range kept {
+		if got, ok := multi.Get(id); !ok || !got.Equal(e) {
+			t.Fatalf("entity %d broken after vacuum", id)
+		}
+	}
+	if res := multi.ScanAll(); len(res) != len(kept) {
+		t.Fatalf("ScanAll after vacuum = %d, want %d", len(res), len(kept))
 	}
 }

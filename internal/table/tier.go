@@ -1,7 +1,6 @@
 package table
 
 import (
-	"fmt"
 	"sort"
 
 	"cinderella/internal/core"
@@ -127,17 +126,7 @@ func (t *Table) FreezePartition(pid core.PartitionID) bool {
 	// Vacuum first: the frozen chain must be compact (cold bytes are
 	// forever — until a thaw — so tombstones would be frozen waste), and
 	// the remap below is the last time record ids change in this tier.
-	remap := seg.Vacuum()
-	for id, loc := range t.rows {
-		if loc.pid != pid {
-			continue
-		}
-		nid, ok := remap[loc.rid]
-		if !ok {
-			panic(fmt.Sprintf("table: entity %d lost during freeze of partition %d", id, pid))
-		}
-		t.rows[id] = rowLoc{pid: pid, rid: nid}
-	}
+	t.remapRows(map[core.PartitionID]map[storage.RecordID]storage.RecordID{pid: seg.Vacuum()})
 	cs := storage.FreezeSegment(seg)
 	delete(t.segs, pid)
 	t.cold[pid] = cs

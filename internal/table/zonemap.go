@@ -207,6 +207,50 @@ func (t *Table) zoneWiden(pid core.PartitionID, e *entity.Entity) {
 	widenInto(zm, e)
 }
 
+// zoneAbsorb widens dst's zone map by every entry of src's: the range
+// of each attribute over both partitions' records. A split or merge
+// calls it once per (target, source) instead of decoding each moved
+// record.
+func (t *Table) zoneAbsorb(dst, src core.PartitionID) {
+	t.zmu.Lock()
+	defer t.zmu.Unlock()
+	zm := t.zones[dst]
+	if zm == nil {
+		zm = make(map[int]*zoneEntry)
+		t.zones[dst] = zm
+	}
+	for a, from := range t.zones[src] {
+		z := zm[a]
+		if z == nil {
+			z = &zoneEntry{}
+			zm[a] = z
+		}
+		if from.hasNum {
+			z.widen(entity.Float(from.minNum))
+			z.widen(entity.Float(from.maxNum))
+		}
+		if from.hasStr {
+			z.widen(entity.Str(from.minStr))
+			z.widen(entity.Str(from.maxStr))
+		}
+	}
+}
+
+// zoneTrim drops pid's zone entries for attributes outside its
+// attribute synopsis — entries an absorbed source contributed but no
+// member carries. Only safe while pid is unpublished: a snapshot
+// captured earlier may hold records the current synopsis lacks.
+func (t *Table) zoneTrim(pid core.PartitionID) {
+	syn := t.attrSyn[pid]
+	t.zmu.Lock()
+	defer t.zmu.Unlock()
+	for a := range t.zones[pid] {
+		if !syn.Contains(a) {
+			delete(t.zones[pid], a)
+		}
+	}
+}
+
 func widenInto(zm map[int]*zoneEntry, e *entity.Entity) {
 	for _, f := range e.Fields() {
 		z := zm[f.Attr]

@@ -23,9 +23,9 @@ if ls $BASELINES >/dev/null 2>&1; then
 	echo "verify: a private baseline file is back at the root; bench/ is the only place a number comes from"; exit 1
 fi
 
-echo "== go test -race ./... (and the pooled zero-alloc guard, which -race skips)"
+echo "== go test -race ./... (and the two allocation guards, which -race skips)"
 go test -race ./...
-go test -run TestBitmapScanSteadyStateZeroAlloc ./internal/table
+go test -run 'TestBitmapScanSteadyStateZeroAlloc|TestInsertAllocBudget' ./internal/table
 
 # The suites whose subject is an interleaving — telemetry vs. writers,
 # group commit and drain, sharded writers vs. fan-out readers, the wire
