@@ -2,6 +2,7 @@ package cinderella
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -215,10 +216,23 @@ func TestQueryWhere(t *testing.T) {
 	if len(rows) != 0 {
 		t.Fatalf("unknown attr = %d", len(rows))
 	}
-	tbl.RebuildZoneMaps()
 	rows, _ = tbl.QueryWhere(Where("price", "=", 50.0))
 	if len(rows) != 1 {
-		t.Fatalf("after rebuild = %d", len(rows))
+		t.Fatalf("price=50 = %d", len(rows))
+	}
+}
+
+// TestQueryWhereNumericComparison: integers above 2^53 compare exactly,
+// and a NaN value matches no condition.
+func TestQueryWhereNumericComparison(t *testing.T) {
+	tbl := Open(Config{})
+	tbl.Insert(Doc{"n": int64(1 << 53)})
+	tbl.Insert(Doc{"n": math.NaN()})
+	if rows, _ := tbl.QueryWhere(Where("n", "=", int64(1<<53+1))); len(rows) != 0 {
+		t.Fatalf("n = 2^53+1 matched %v", rows)
+	}
+	if rows, _ := tbl.QueryWhere(Where("n", "<=", 0)); len(rows) != 0 {
+		t.Fatalf("n <= 0 matched %v", rows)
 	}
 }
 

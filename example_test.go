@@ -25,8 +25,8 @@ func Example() {
 	// Output: [Canon S120 Sony SLT-A99]
 }
 
-// ExampleTable_QueryWhere demonstrates value predicates pruned by zone
-// maps.
+// ExampleTable_QueryWhere demonstrates a value predicate: partitions
+// without the attribute are pruned, the rest are filtered by value.
 func ExampleTable_QueryWhere() {
 	tbl := cinderella.Open(cinderella.Config{})
 	tbl.Insert(cinderella.Doc{"sku": "a", "price": 19.99})

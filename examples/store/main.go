@@ -1,6 +1,6 @@
 // Store: the production-shaped workflow — a durable document store with
 // write-ahead logging, crash recovery, checkpointing, value-predicate
-// queries over zone maps, and partition compaction after churn.
+// queries, and partition compaction after churn.
 package main
 
 import (
@@ -64,7 +64,8 @@ func main() {
 		fmt.Printf("recovered first camera: sku=%v aperture=%v\n", doc["sku"], doc["aperture"])
 	}
 
-	// Zone-map pruned range query: cheap cameras with bright lenses.
+	// Range query: cheap cameras with bright lenses. Only partitions
+	// holding both attributes are read.
 	rows, rep := store.QueryWhere(
 		cinderella.Where("aperture", "<=", 2.0),
 		cinderella.Where("price", "<", 400.0),

@@ -55,9 +55,6 @@ const (
 	// PruneSynopsisMissing: the partition's synopsis misses a predicate
 	// attribute, so no member can satisfy the conjunction.
 	PruneSynopsisMissing
-	// PruneZoneMiss: a predicate cannot overlap the partition's value
-	// zone for its attribute.
-	PruneZoneMiss
 )
 
 func (pr PruneReason) String() string {
@@ -66,8 +63,6 @@ func (pr PruneReason) String() string {
 		return "synopsis-disjoint"
 	case PruneSynopsisMissing:
 		return "synopsis-missing-attr"
-	case PruneZoneMiss:
-		return "zone-no-overlap"
 	}
 	return "unknown"
 }
@@ -160,15 +155,6 @@ func (sp *QuerySpan) Prune(pid uint64, reason PruneReason) {
 		return
 	}
 	sp.Prunes = append(sp.Prunes, PruneSpan{Partition: pid, Reason: reason.String()})
-}
-
-// ResetPrunes clears recorded prune verdicts. Snapshot SelectWhere
-// retries its prune pass when a zone rebuild races the capture; the
-// retry re-records from scratch. Nil-safe.
-func (sp *QuerySpan) ResetPrunes() {
-	if sp != nil {
-		sp.Prunes = sp.Prunes[:0]
-	}
 }
 
 // NewChild creates the per-shard child span for a fan-out. The caller

@@ -151,9 +151,9 @@ func TestTraceForcedBypassesSampling(t *testing.T) {
 	if sp == nil || !sp.Sampled || !sp.WantDetail() || !sp.TimeScans() {
 		t.Fatalf("forced span = %+v, want sampled with detail", sp)
 	}
-	sp.Prune(3, PruneZoneMiss)
+	sp.Prune(3, PruneSynopsisMissing)
 	r.FinishQuery(sp, 500, QueryAgg{PartitionsTotal: 2, PartitionsPruned: 1}, nil)
-	if len(sp.Prunes) != 1 || sp.Prunes[0].Reason != "zone-no-overlap" {
+	if len(sp.Prunes) != 1 || sp.Prunes[0].Reason != "synopsis-missing-attr" {
 		t.Fatalf("prunes = %+v", sp.Prunes)
 	}
 	// Forced spans also count as sampled retention.
@@ -503,8 +503,7 @@ func TestTraceStartQueryNilRegistry(t *testing.T) {
 		t.Fatal("nil span wants work")
 	}
 	sp.SetQuery("q")
-	sp.Prune(1, PruneZoneMiss)
-	sp.ResetPrunes()
+	sp.Prune(1, PruneSynopsisMissing)
 	if c := sp.NewChild(0); c != nil {
 		t.Fatal("nil span produced a child")
 	}

@@ -79,7 +79,7 @@ func TestQueriesMatchOracle(t *testing.T) {
 				if p%3 == 0 {
 					preds = append(preds, Pred{Attr: (p + 3) % 12, Op: Ge, Value: entity.Int(0)})
 				}
-				checkOracle(t, fmt.Sprintf("where probe %d", p), tbl, oracleWhere(tbl, preds),
+				checkOracle(t, fmt.Sprintf("where probe %d", p), tbl, oracleWhere(preds),
 					func() ([]Result, QueryReport) { return tbl.SelectWhere(preds) })
 			}
 			checkOracle(t, "scan-all", tbl, oracleScanAll(), scanAllRun(tbl))

@@ -13,7 +13,7 @@ import (
 // a trivial in-memory model, checking after every phase that contents,
 // point lookups, attribute queries, and predicate queries agree exactly.
 // This is the end-to-end guard for the interplay of splits, moves,
-// deletes, updates, compaction, and zone maps.
+// deletes, updates, and compaction.
 func TestModelRandomOps(t *testing.T) {
 	for _, strat := range []struct {
 		name string
@@ -131,7 +131,6 @@ func runModel(t *testing.T, assigner core.Assigner) {
 		}
 		if phase%3 == 2 {
 			tbl.Compact(0.3)
-			tbl.RebuildZoneMaps()
 		}
 		check()
 	}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -25,7 +26,7 @@ import (
 type oracleQuery struct {
 	// prune reports whether a partition is skipped given the union of
 	// its members' attribute sets; nil touches every partition.
-	prune func(pid core.PartitionID, syn *synopsis.Set) bool
+	prune func(syn *synopsis.Set) bool
 	// decode reports whether a record with these attributes must be
 	// decoded to answer the query.
 	decode func(attrs *synopsis.Set) bool
@@ -35,24 +36,19 @@ type oracleQuery struct {
 
 func oracleSelect(q *synopsis.Set) oracleQuery {
 	return oracleQuery{
-		prune:  func(_ core.PartitionID, syn *synopsis.Set) bool { return !synopsis.Intersects(syn, q) },
+		prune:  func(syn *synopsis.Set) bool { return !synopsis.Intersects(syn, q) },
 		decode: func(attrs *synopsis.Set) bool { return synopsis.Intersects(attrs, q) },
 		hit:    func(e *entity.Entity) bool { return synopsis.Intersects(e.Synopsis(), q) },
 	}
 }
 
-// oracleWhere consults the table's zone maps for the value-range prune:
-// they are conservative by design (deletes never shrink them), so the
-// verdict is table state, not something the data alone determines.
-func oracleWhere(t *Table, preds []Pred) oracleQuery {
+func oracleWhere(preds []Pred) oracleQuery {
 	need := synopsis.New(0)
 	for _, p := range preds {
 		need.Add(p.Attr)
 	}
 	return oracleQuery{
-		prune: func(pid core.PartitionID, syn *synopsis.Set) bool {
-			return !synopsis.Subset(need, syn) || !t.zonesOverlap(pid, preds)
-		},
+		prune:  func(syn *synopsis.Set) bool { return !synopsis.Subset(need, syn) },
 		decode: func(attrs *synopsis.Set) bool { return synopsis.Subset(need, attrs) },
 		hit:    func(e *entity.Entity) bool { return entityMatches(e, preds) },
 	}
@@ -100,7 +96,7 @@ func (t *Table) oracle(oq oracleQuery) oracleAnswer {
 	for pid := range t.cold {
 		pids = append(pids, pid)
 	}
-	sortPIDs(pids)
+	slices.Sort(pids)
 
 	var ans oracleAnswer
 	ans.rep.PartitionsTotal = len(pids)
@@ -135,7 +131,7 @@ func (t *Table) oracle(oq oracleQuery) oracleAnswer {
 			syn.UnionWith(e.Synopsis())
 		}
 
-		if oq.prune != nil && oq.prune(pid, syn) {
+		if oq.prune != nil && oq.prune(syn) {
 			ans.rep.PartitionsPruned++
 			continue
 		}

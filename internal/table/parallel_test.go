@@ -63,7 +63,7 @@ func TestParallelSelectMatchesSerial(t *testing.T) {
 		}
 	}
 
-	// Same for predicate queries over zone maps.
+	// Same for predicate queries.
 	preds := []Pred{{Attr: 1, Op: Lt, Value: entity.Float(250)}}
 	sres, srep := serial.SelectWhere(preds)
 	pres, prep := parallel.SelectWhere(preds)

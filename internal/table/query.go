@@ -115,32 +115,21 @@ type pruneFn func(ps *partSnap) (why obs.PruneReason, pruned bool)
 func (t *Table) runQuery(sp *obs.QuerySpan, prune pruneFn, prog storage.BitmapProgram, match func(*entity.Entity) bool) ([]Result, QueryReport) {
 	start := t.obsStart()
 
-	// Zone maps shrink only when RebuildZoneMaps swaps in fresh ones or a
-	// partition is dropped; the generation check makes sure the maps a
-	// prune consulted were current for the captured snapshot (retry on
-	// the rare race).
-	var survivors []*partSnap
-	var rep QueryReport
-	for {
-		gen := t.zoneGen.Load()
-		survivors = t.capture().parts
-		rep = QueryReport{PartitionsTotal: len(survivors)}
-		if prune != nil {
-			sp.ResetPrunes() // a retry re-prunes from scratch
-			kept := survivors[:0]
-			for _, ps := range survivors {
-				if why, pruned := prune(ps); pruned {
-					rep.PartitionsPruned++
-					sp.Prune(uint64(ps.pid), why)
-					continue
-				}
-				kept = append(kept, ps)
+	// Pruning reads only the captured snapshots' own synopses, so the
+	// verdicts are consistent with the cut by construction.
+	survivors := t.capture().parts
+	rep := QueryReport{PartitionsTotal: len(survivors)}
+	if prune != nil {
+		kept := survivors[:0]
+		for _, ps := range survivors {
+			if why, pruned := prune(ps); pruned {
+				rep.PartitionsPruned++
+				sp.Prune(uint64(ps.pid), why)
+				continue
 			}
-			survivors = kept
+			kept = append(kept, ps)
 		}
-		if t.zoneGen.Load() == gen {
-			break
-		}
+		survivors = kept
 	}
 	rep.PartitionsTouched = len(survivors)
 

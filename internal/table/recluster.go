@@ -52,8 +52,7 @@ func (t *Table) PartitionMembers(pid core.PartitionID) []core.EntityID {
 func (t *Table) ReclusterEntity(id core.EntityID, expect core.PartitionID, blender core.RatingBlender) (mv ReclusterMove, examined, moved bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.assigner.(*core.Cinderella)
-	if !ok {
+	if _, ok := t.assigner.(*core.Cinderella); !ok {
 		return ReclusterMove{}, false, false
 	}
 	loc, ok := t.rows[id]
@@ -71,39 +70,10 @@ func (t *Table) ReclusterEntity(id core.EntityID, expect core.PartitionID, blend
 
 	t.beginMut()
 	defer t.endMut()
-	// From here this is Update's move discipline: delete the old
-	// physical record, re-rate through the partitioner (placement
-	// events write the new one), fall back to in-place when it stays.
-	if err := t.seg(loc.pid).Delete(loc.rid); err != nil {
-		panic(fmt.Sprintf("table: reclustering entity %d: %v", id, err))
+	if pid := t.replace(id, loc, e, blender); pid != expect {
+		return ReclusterMove{ID: id, From: expect, To: pid, Data: e.Marshal(nil)}, true, true
 	}
-	t.refRemove(loc.pid, t.entityAtt[id])
-	t.markDirty(loc.pid)
-	delete(t.rows, id)
-	delete(t.entityAtt, id)
-
-	t.beginOp(id, e)
-	c.SetRatingBlender(blender)
-	pid := t.assigner.Update(core.Entity{ID: id, Syn: t.synizer.Synopsis(e), Size: e.Size()})
-	c.SetRatingBlender(nil)
-	if !t.pendingDone {
-		rid, err := t.seg(pid).InsertTagged(t.pending, t.pendingAttrs)
-		if err != nil {
-			panic(fmt.Sprintf("table: rewriting entity %d: %v", id, err))
-		}
-		t.rows[id] = rowLoc{pid: pid, rid: rid}
-		t.entityAtt[id] = t.pendingAttrs
-		t.refAdd(pid, t.pendingAttrs)
-		t.markDirty(pid)
-		t.zoneWiden(pid, e)
-		t.pendingDone = true
-	}
-	t.endOp(id)
-	t.observer().SetPartitions(t.numPartsLocked())
-	if pid == expect {
-		return ReclusterMove{}, true, false
-	}
-	return ReclusterMove{ID: id, From: expect, To: pid, Data: e.Marshal(nil)}, true, true
+	return ReclusterMove{}, true, false
 }
 
 // ReclusterBatch re-rates up to max members of partition pid (all of

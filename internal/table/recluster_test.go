@@ -59,7 +59,7 @@ func TestReclusterMovesMatchOracle(t *testing.T) {
 			}
 		}
 		preds := []Pred{{Attr: 20 + round, Op: Ge, Value: entity.Int(0)}, {Attr: 0, Op: Eq, Value: entity.Int(0)}}
-		checkOracle(t, fmt.Sprintf("round %d where", round), tbl, oracleWhere(tbl, preds),
+		checkOracle(t, fmt.Sprintf("round %d where", round), tbl, oracleWhere(preds),
 			func() ([]Result, QueryReport) { return tbl.SelectWhere(preds) })
 		checkOracle(t, fmt.Sprintf("round %d scan-all", round), tbl, oracleScanAll(), scanAllRun(tbl))
 	}

@@ -190,6 +190,6 @@ func TestSnapshotConcurrentWritersReaders(t *testing.T) {
 	checkOracle(t, "select after churn", tbl, oracleSelect(q),
 		func() ([]Result, QueryReport) { return tbl.SelectWithReport(q) })
 	preds := []Pred{{Attr: 5, Op: Ge, Value: entity.Int(10)}}
-	checkOracle(t, "where after churn", tbl, oracleWhere(tbl, preds),
+	checkOracle(t, "where after churn", tbl, oracleWhere(preds),
 		func() ([]Result, QueryReport) { return tbl.SelectWhere(preds) })
 }

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -119,8 +118,8 @@ type Table struct {
 	segs map[core.PartitionID]*storage.Segment
 	// cold holds the frozen partitions (see tier.go): a partition lives
 	// in exactly one of segs and cold. Frozen partitions keep their
-	// pruning synopsis, zone maps, and presence matrix hot; mutations
-	// transparently thaw through seg().
+	// pruning synopsis and presence matrix hot; mutations transparently
+	// thaw through seg().
 	cold map[core.PartitionID]*storage.ColdSegment
 	rows map[core.EntityID]rowLoc
 	// attrRefs maintains the exact per-partition attribute synopsis for
@@ -131,17 +130,6 @@ type Table struct {
 	attrRefs  map[core.PartitionID]map[int]int
 	attrSyn   map[core.PartitionID]*synopsis.Set
 	entityAtt map[core.EntityID]*synopsis.Set // attribute synopsis cache
-	// zones holds per-partition per-attribute value ranges for predicate
-	// pruning (see zonemap.go). Maintained additively. Guarded by zmu —
-	// snapshot readers consult zones without holding mu.
-	zmu   sync.Mutex
-	zones map[core.PartitionID]map[int]*zoneEntry
-	// zoneGen counts the events that can remove zone info: RebuildZoneMaps
-	// runs and partition drops. Zones only ever widen between those
-	// events, which makes them conservatively valid for any snapshot
-	// captured after the last one; SelectWhere re-prunes when either
-	// raced its capture.
-	zoneGen atomic.Uint64
 
 	// Snapshot publication state (see snapshot.go). handles/dirty/
 	// dirChanged are writer-private under mu; dir and snapSeq are the
@@ -158,16 +146,12 @@ type Table struct {
 	// in-flight insert/update state consumed by the move listener
 	pending      []byte
 	pendingID    core.EntityID
-	pendingEnt   *entity.Entity
 	pendingAttrs *synopsis.Set
 	pendingDone  bool
 
-	// Dissolution state, writer-private under mu (see onPlacement):
 	// dissolving counts the records moved out of each partition a split
-	// or merge is dissolving; absorbed lists the (target, source) pairs
-	// whose zone maps were merged since the outermost dissolution began.
+	// or merge is dissolving (see onPlacement). Writer-private under mu.
 	dissolving map[core.PartitionID]int
-	absorbed   [][2]core.PartitionID
 
 	// qmu guards queries: query counters are updated by lock-free
 	// readers, so they need their own mutex.
@@ -221,7 +205,6 @@ func New(cfg Config) *Table {
 		attrRefs:   make(map[core.PartitionID]map[int]int),
 		attrSyn:    make(map[core.PartitionID]*synopsis.Set),
 		entityAtt:  make(map[core.EntityID]*synopsis.Set),
-		zones:      make(map[core.PartitionID]map[int]*zoneEntry),
 		handles:    make(map[core.PartitionID]*partHandle),
 		dirty:      make(map[core.PartitionID]struct{}),
 		dissolving: make(map[core.PartitionID]int),
@@ -321,17 +304,13 @@ func lapNs(start time.Time) int64 {
 // core.Placement for its kinds):
 //
 //   - The in-flight record's placement writes t.pending into its
-//     partition and widens the zone map from the entity in hand.
+//     partition.
 //   - A dissolution opens a split or merge of pl.From. Each member then
 //     moves out with one placement: its record is read in place and
 //     appended to the target — no copy, no delete, no decode. The
 //     source needs no copy-on-write per moved record because it is
 //     dropped whole inside the same mutation, so no snapshot ever sees
-//     it half emptied. A target's zone map absorbs the source's once,
-//     a superset of every moved record's values; when the outermost
-//     dissolution ends, targets that were never published (a split's
-//     successors) are trimmed to their attribute synopsis. A merge's
-//     published destination keeps the wider map.
+//     it half emptied.
 //   - A drop removes pl.From's segment whole (see drop).
 func (t *Table) onPlacement(pl core.Placement) {
 	switch {
@@ -350,7 +329,6 @@ func (t *Table) onPlacement(pl core.Placement) {
 		rec, attrs = t.pending, t.pendingAttrs
 		t.pendingDone = true
 		t.entityAtt[pl.Entity] = attrs
-		t.zoneWiden(pl.To, t.pendingEnt)
 	} else {
 		loc := t.rows[pl.Entity]
 		moved, ok := t.dissolving[loc.pid]
@@ -363,10 +341,6 @@ func (t *Table) onPlacement(pl core.Placement) {
 		}
 		rec, attrs = b, t.entityAtt[pl.Entity]
 		t.dissolving[loc.pid] = moved + 1
-		if pair := [2]core.PartitionID{pl.To, loc.pid}; !slices.Contains(t.absorbed, pair) {
-			t.absorbed = append(t.absorbed, pair)
-			t.zoneAbsorb(pl.To, loc.pid)
-		}
 	}
 
 	rid, err := t.seg(pl.To).InsertTagged(rec, attrs)
@@ -403,29 +377,8 @@ func (t *Table) drop(pid core.PartitionID) {
 	delete(t.segs, pid)
 	delete(t.attrRefs, pid)
 	delete(t.attrSyn, pid)
-	t.zmu.Lock()
-	delete(t.zones, pid)
-	t.zmu.Unlock()
-	// Dropping a partition removes zone info mid-mutation, but a
-	// snapshot reader may have captured a pre-mutation cut that still
-	// carries the partition's records (its merged-away records only
-	// appear in the destination at endMut). Bump the zone generation
-	// so runQuery re-captures instead of pruning that
-	// partition against the now-absent zone map.
-	t.zoneGen.Add(1)
 	t.markDirty(pid)
 	t.dirChanged = true
-
-	if len(t.dissolving) == 0 {
-		// The outermost split or merge is complete: no record moves into
-		// an absorbing target any more.
-		for _, pair := range t.absorbed {
-			if t.handles[pair[0]] == nil {
-				t.zoneTrim(pair[0])
-			}
-		}
-		t.absorbed = t.absorbed[:0]
-	}
 }
 
 // seg returns pid's hot segment for a mutation, creating it when the
@@ -569,12 +522,11 @@ func decodeRecord(rec []byte) (core.EntityID, *entity.Entity, error) {
 	return core.EntityID(id), e, err
 }
 
-// beginOp stages the record bytes and the entity for the placement
+// beginOp stages the record bytes and attribute set for the placement
 // listener.
 func (t *Table) beginOp(id core.EntityID, e *entity.Entity) {
 	t.pending = encodeRecord(id, e)
 	t.pendingID = id
-	t.pendingEnt = e
 	t.pendingAttrs = e.Synopsis().Clone()
 	t.pendingDone = false
 }
@@ -584,7 +536,7 @@ func (t *Table) endOp(id core.EntityID) {
 	if !t.pendingDone {
 		panic(fmt.Sprintf("table: entity %d was never placed", id))
 	}
-	t.pending, t.pendingID, t.pendingEnt, t.pendingAttrs = nil, 0, nil, nil
+	t.pending, t.pendingID, t.pendingAttrs = nil, 0, nil
 }
 
 // Get returns a copy of the entity with the given id.
@@ -648,10 +600,22 @@ func (t *Table) Update(id core.EntityID, e *entity.Entity) bool {
 	if !ok {
 		return false
 	}
-	// Remove the old physical record; the listener (or the in-place path
-	// below) writes the new one.
+	t.replace(id, loc, e, nil)
+	return true
+}
+
+// replace is the one update discipline, behind Update and
+// ReclusterEntity: delete the entity's old physical record at loc,
+// re-rate e through the partitioner — with blender, when non-nil,
+// blended into the rating (the assigner is then a *core.Cinderella) —
+// and let the placement listener write the new record; when the
+// partitioner keeps the entity, no placement event fires and the new
+// bytes go into the same partition here. It returns the entity's
+// partition afterwards. Callers hold the write lock inside a mutation
+// bracket.
+func (t *Table) replace(id core.EntityID, loc rowLoc, e *entity.Entity, blender core.RatingBlender) core.PartitionID {
 	if err := t.seg(loc.pid).Delete(loc.rid); err != nil {
-		panic(fmt.Sprintf("table: updating entity %d: %v", id, err))
+		panic(fmt.Sprintf("table: replacing entity %d: %v", id, err))
 	}
 	t.refRemove(loc.pid, t.entityAtt[id])
 	t.markDirty(loc.pid)
@@ -659,10 +623,13 @@ func (t *Table) Update(id core.EntityID, e *entity.Entity) bool {
 	delete(t.entityAtt, id)
 
 	t.beginOp(id, e)
+	if blender != nil {
+		c := t.assigner.(*core.Cinderella)
+		c.SetRatingBlender(blender)
+		defer c.SetRatingBlender(nil)
+	}
 	pid := t.assigner.Update(core.Entity{ID: id, Syn: t.synizer.Synopsis(e), Size: e.Size()})
 	if !t.pendingDone {
-		// In-place update: the partitioner kept the entity, no placement
-		// event fired; write the new bytes into the same partition.
 		rid, err := t.seg(pid).InsertTagged(t.pending, t.pendingAttrs)
 		if err != nil {
 			panic(fmt.Sprintf("table: rewriting entity %d: %v", id, err))
@@ -671,12 +638,11 @@ func (t *Table) Update(id core.EntityID, e *entity.Entity) bool {
 		t.entityAtt[id] = t.pendingAttrs
 		t.refAdd(pid, t.pendingAttrs)
 		t.markDirty(pid)
-		t.zoneWiden(pid, e)
 		t.pendingDone = true
 	}
 	t.endOp(id)
 	t.observer().SetPartitions(t.numPartsLocked())
-	return true
+	return pid
 }
 
 // Compact asks the partitioner to merge underfilled partitions (fill

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"sort"
 
 	"cinderella/internal/core"
@@ -17,9 +18,9 @@ import (
 //
 //   - A partition lives in exactly one tier: t.segs XOR t.cold.
 //   - Everything pruning needs stays hot regardless of tier — the
-//     partition attribute synopsis, the zone maps, and the attribute-
-//     presence matrix — so SelectWhere prunes a frozen partition
-//     without touching a single cold byte.
+//     partition attribute synopsis and the attribute-presence matrix —
+//     so SelectWhere prunes a frozen partition without touching a
+//     single cold byte.
 //   - Record ids survive both transitions. Freeze vacuums first (so the
 //     frozen page chain is compact and tombstone-free) and remaps the
 //     row index once; Thaw rebuilds the identical page chain, so the
@@ -91,7 +92,7 @@ func (t *Table) FrozenPartitions() []core.PartitionID {
 	for pid := range t.cold {
 		pids = append(pids, pid)
 	}
-	sortPIDs(pids)
+	slices.Sort(pids)
 	return pids
 }
 

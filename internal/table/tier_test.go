@@ -66,7 +66,7 @@ func TestFreezeThawRoundTrip(t *testing.T) {
 				func() ([]Result, QueryReport) { return tbl.SelectWithReport(q) })
 		}
 		preds := []Pred{{Attr: 51, Op: Ge, Value: entity.Int(0)}}
-		checkOracle(t, stage+": where", tbl, oracleWhere(tbl, preds),
+		checkOracle(t, stage+": where", tbl, oracleWhere(preds),
 			func() ([]Result, QueryReport) { return tbl.SelectWhere(preds) })
 		checkOracle(t, stage+": scan-all", tbl, oracleScanAll(), scanAllRun(tbl))
 	}
@@ -130,7 +130,7 @@ func TestFrozenPartitionPrunesWithoutColdBytes(t *testing.T) {
 		t.Fatalf("pruned query read %d cold pages / %d cold bytes", cp, cb)
 	}
 
-	// SelectWhere prunes by synopsis + zone maps, still zero cold I/O.
+	// SelectWhere prunes by synopsis, still zero cold I/O.
 	pruned := []Pred{{Attr: 2, Op: Ge, Value: entity.Int(0)}}
 	res, rep := tbl.SelectWhere(pruned)
 	if len(res) != 40 || rep.PartitionsPruned == 0 {
@@ -144,7 +144,7 @@ func TestFrozenPartitionPrunesWithoutColdBytes(t *testing.T) {
 	// delta — and on a query that needs the frozen partition.
 	checkOracle(t, "pruned select", tbl, oracleSelect(synopsis.Of(1)),
 		func() ([]Result, QueryReport) { return tbl.SelectWithReport(synopsis.Of(1)) })
-	checkOracle(t, "pruned where", tbl, oracleWhere(tbl, pruned),
+	checkOracle(t, "pruned where", tbl, oracleWhere(pruned),
 		func() ([]Result, QueryReport) { return tbl.SelectWhere(pruned) })
 	checkOracle(t, "cold select", tbl, oracleSelect(synopsis.Of(50)),
 		func() ([]Result, QueryReport) { return tbl.SelectWithReport(synopsis.Of(50)) })

@@ -78,8 +78,8 @@ func FuzzBatchPayloadDecode(f *testing.F) {
 	good = append(good, wire.BatchDelete)
 	good = binary.AppendUvarint(good, 99)
 	f.Add(good)
-	f.Add([]byte{0xff})          // corrupt count varint
-	f.Add([]byte{5})             // count larger than payload
+	f.Add([]byte{0xff})                              // corrupt count varint
+	f.Add([]byte{5})                                 // count larger than payload
 	f.Add(append(binary.AppendUvarint(nil, 1), 200)) // unknown op kind
 
 	f.Fuzz(func(t *testing.T, p []byte) {

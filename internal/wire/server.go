@@ -178,12 +178,12 @@ type conn struct {
 	nc       net.Conn
 	br       *bufio.Reader
 	bw       *bufio.Writer
-	frameBuf []byte         // frame read buffer, reused across frames
-	out      []byte         // response build buffer, reused across frames
-	scratch  entity.Entity  // decoded-op scratch; stores never retain it
-	names    []string       // query attr-name scratch
-	dictSent int            // wire dictionary prefix already sent to this client
-	bytesOut int64          // flushed response bytes (counted at flush)
+	frameBuf []byte        // frame read buffer, reused across frames
+	out      []byte        // response build buffer, reused across frames
+	scratch  entity.Entity // decoded-op scratch; stores never retain it
+	names    []string      // query attr-name scratch
+	dictSent int           // wire dictionary prefix already sent to this client
+	bytesOut int64         // flushed response bytes (counted at flush)
 }
 
 // serveConn runs one connection's frame loop. Frame-level malformation

@@ -6,18 +6,25 @@
 # bash bench/run.sh only. Run from the repo root (make verify does).
 set -eu
 
-echo "== go build ./... && go vet ./..."
+echo "== gofmt -l, go build ./... && go vet ./..."
+UNFORMATTED=$(gofmt -l $(git ls-files -co --exclude-standard '*.go'))
+if [ -n "$UNFORMATTED" ]; then
+	echo "verify: not gofmt-formatted:"; echo "$UNFORMATTED"; exit 1
+fi
 go build ./...
 go vet ./...
 
 # Deleted things stay deleted: the read-mode toggles and the per-record
 # synopsis sidecar (one read path), the per-op-sync and run-time
 # parallelism toggles and the private bench harnesses' flags and baseline
-# files (one benchmark harness). Both patterns live on the next line only.
+# files (one benchmark harness), and the value zone maps with their
+# generation retry (value predicates filter the one synopsis-pruned
+# scan). The patterns live on the next two lines only.
 GONE='SetLockedReads|SetBitmapScans|\[\]\[\]\*synopsis\.Set|PerOpSync|SetParallelism|allow-serial|sweep-clients' BASELINES='BENCH_*.json'
+GONE="$GONE|zoneGen|zoneWiden|zoneAbsorb|zoneTrim|RebuildZoneMaps|PruneZoneMiss|ResetPrunes|zmu"
 echo "== deleted-stays-deleted gate"
-if grep -rnE "$GONE" --include='*.go' --exclude-dir=bench . | grep -v '_test\.go:'; then
-	echo "verify: a deleted toggle, sidecar field or private bench flag is back"; exit 1
+if grep -rnE "$GONE" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '_test\.go:'; then
+	echo "verify: a deleted toggle, sidecar field, private bench flag or zone map is back"; exit 1
 fi
 if ls $BASELINES >/dev/null 2>&1; then
 	echo "verify: a private baseline file is back at the root; bench/ is the only place a number comes from"; exit 1

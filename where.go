@@ -20,10 +20,12 @@ func Where(attr, op string, value any) Cond {
 	return Cond{Attr: attr, Op: op, Value: value}
 }
 
-// QueryWhere returns all documents satisfying every condition. Partition
-// pruning uses both attribute synopses and per-partition value zone maps,
-// so range probes skip partitions whose values cannot match. Unknown
-// attribute names match nothing.
+// QueryWhere returns all documents satisfying every condition. Partitions
+// whose attribute synopsis lacks a condition's attribute are skipped, as
+// are records lacking one; the remaining records are decoded and their
+// values compared. Two integers compare exactly; other numeric pairs
+// compare as float64, and NaN satisfies no condition. Unknown attribute
+// names match nothing.
 func (t *Table) QueryWhere(conds ...Cond) ([]Record, QueryReport) {
 	if len(conds) == 0 {
 		panic("cinderella: QueryWhere needs at least one condition")
@@ -68,7 +70,3 @@ func parseOp(op string) (table.CmpOp, error) {
 	}
 	return 0, fmt.Errorf("unknown operator %q", op)
 }
-
-// RebuildZoneMaps recomputes exact per-partition value ranges after heavy
-// churn (deletes and updates only widen the maintained ranges).
-func (t *Table) RebuildZoneMaps() { t.inner.RebuildZoneMaps() }
