@@ -99,6 +99,12 @@ type Config struct {
 	// estimator, and the partitioner event trace. See internal/obs. A nil
 	// registry costs one pointer check per operation.
 	Obs *obs.Registry
+	// Dict, when non-nil, is the attribute dictionary the table uses in
+	// place of a private one, so several tables (a sharded store's
+	// shards) share one id space. A shared dictionary may hold names
+	// another table registered; a durable table logs every name it has
+	// not logged yet, in id order, ahead of its next record.
+	Dict *entity.Dictionary
 }
 
 // Table is a partitioned universal table. It is safe for concurrent use.
@@ -146,7 +152,10 @@ func Open(cfg Config) *Table {
 		panic(fmt.Sprintf("cinderella: unknown strategy %d", cfg.Strategy))
 	}
 
-	dict := entity.NewDictionary()
+	dict := cfg.Dict
+	if dict == nil {
+		dict = entity.NewDictionary()
+	}
 	tcfg := table.Config{Partitioner: assigner, Dict: dict, Parallelism: cfg.Parallelism, Obs: cfg.Obs}
 	var cache *storage.BufferCache
 	if cfg.CachePages > 0 {

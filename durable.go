@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -40,7 +41,7 @@ type DurableTable struct {
 	syncMu sync.Mutex
 	w      *wal.Writer
 	path   string
-	logged int  // attribute names already logged
+	logged int  // dictionary prefix this log registers (ids 0..logged-1)
 	closed bool // set by Close; all later mutations return ErrClosed
 
 	// LSN bookkeeping for group commit. An LSN counts WAL records
@@ -79,7 +80,6 @@ func OpenFile(path string, cfg Config) (*DurableTable, error) {
 			return nil, fmt.Errorf("cinderella: replaying %s: %w", path, err)
 		}
 	}
-	d.logged = t.dict.Len()
 
 	// Restore the cold tier: verify every manifest-listed image and
 	// re-freeze the listed partitions from the replayed rows. A corrupt
@@ -88,6 +88,11 @@ func OpenFile(path string, cfg Config) (*DurableTable, error) {
 		return nil, err
 	}
 
+	// Cut a torn tail off before appending: records written behind it
+	// would sit past the point where the next replay stops.
+	if err := os.Truncate(path, r.Offset()); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
 	w, err := wal.Create(path)
 	if err != nil {
 		return nil, err
@@ -112,21 +117,24 @@ func (d *DurableTable) SetObserver(r *obs.Registry) {
 func (d *DurableTable) apply(op wal.Op) error {
 	switch op.Kind {
 	case wal.KindAttr:
-		// Attribute registration: names must resolve to the same dense
-		// ids they had when logged.
-		want := int(op.ID)
-		got := d.dict.ID(string(op.Data))
-		if got != want {
-			return fmt.Errorf("attribute %q replayed to id %d, logged as %d", op.Data, got, want)
+		// The log holds a dense prefix of the dictionary, which other
+		// tables may share: ids arrive in order and must resolve to the
+		// names they were logged under.
+		if op.ID != uint64(d.logged) {
+			return fmt.Errorf("attribute %q logged as id %d, want the next id %d", op.Data, op.ID, d.logged)
 		}
+		if got := d.dict.ID(string(op.Data)); got != d.logged {
+			return fmt.Errorf("attribute %q replayed to id %d, logged as %d", op.Data, got, d.logged)
+		}
+		d.logged++
 	case wal.KindInsert:
-		e, _, err := entity.Unmarshal(op.Data)
+		e, err := d.decodeLogged(op.Data)
 		if err != nil {
 			return err
 		}
 		d.inner.InsertWithID(core.EntityID(op.ID), e)
 	case wal.KindUpdate:
-		e, _, err := entity.Unmarshal(op.Data)
+		e, err := d.decodeLogged(op.Data)
 		if err != nil {
 			return err
 		}
@@ -145,20 +153,36 @@ func (d *DurableTable) apply(op wal.Op) error {
 	return nil
 }
 
-// logNewAttrs appends registrations for attribute names assigned since
-// the last mutation, keeping the log self-describing.
-func (d *DurableTable) logNewAttrs() error {
-	n := d.dict.Len()
-	for ; d.logged < n; d.logged++ {
-		err := d.w.Append(wal.Op{
-			Kind: wal.KindAttr,
-			ID:   uint64(d.logged),
-			Data: []byte(d.dict.Name(d.logged)),
-		})
+// decodeLogged decodes a replayed record, refusing one that uses an
+// attribute id this log has not registered before it: in a shared
+// dictionary that id could name anything.
+func (d *DurableTable) decodeLogged(data []byte) (*entity.Entity, error) {
+	e, _, err := entity.Unmarshal(data)
+	if err != nil {
+		return nil, err
+	}
+	if fs := e.Fields(); len(fs) > 0 && fs[len(fs)-1].Attr >= d.logged {
+		return nil, fmt.Errorf("record uses attribute id %d, but the log registered only %d", fs[len(fs)-1].Attr, d.logged)
+	}
+	return e, nil
+}
+
+// appendRecord logs one record carrying entity bytes. Every name the
+// dictionary assigned since this log's last registration goes first, so
+// the log stays a dense prefix of the dictionary and a name always
+// precedes (and is fsynced with) the first record that uses it. Callers
+// hold d.mu.
+func (d *DurableTable) appendRecord(kind wal.Kind, id ID, data []byte) error {
+	for n := d.dict.Len(); d.logged < n; d.logged++ {
+		err := d.w.Append(wal.Op{Kind: wal.KindAttr, ID: uint64(d.logged), Data: []byte(d.dict.Name(d.logged))})
 		if err != nil {
 			return err
 		}
 	}
+	if err := d.w.Append(wal.Op{Kind: kind, ID: uint64(id), Data: data}); err != nil {
+		return err
+	}
+	d.noteAppend()
 	return nil
 }
 
@@ -176,23 +200,7 @@ func (d *DurableTable) noteSynced() {
 
 // Insert stores doc durably and returns its id.
 func (d *DurableTable) Insert(doc Doc) (ID, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return 0, ErrClosed
-	}
-	e := d.toEntity(doc)
-	if err := d.logNewAttrs(); err != nil {
-		return 0, err
-	}
-	// The id the table will assign is deterministic; log after applying
-	// so the id is known, then the caller syncs when durability matters.
-	id := d.inner.Insert(e)
-	if err := d.w.Append(wal.Op{Kind: wal.KindInsert, ID: uint64(id), Data: e.Marshal(nil)}); err != nil {
-		return 0, err
-	}
-	d.noteAppend()
-	return id, nil
+	return d.InsertEntity(d.toEntity(doc))
 }
 
 // InsertWithID stores doc durably under a caller-chosen id. Like
@@ -200,21 +208,7 @@ func (d *DurableTable) Insert(doc Doc) (ID, error) {
 // (the sharded router, which allocates ids from a global counter before
 // routing) own id uniqueness.
 func (d *DurableTable) InsertWithID(id ID, doc Doc) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	e := d.toEntity(doc)
-	if err := d.logNewAttrs(); err != nil {
-		return err
-	}
-	d.inner.InsertWithID(id, e)
-	if err := d.w.Append(wal.Op{Kind: wal.KindInsert, ID: uint64(id), Data: e.Marshal(nil)}); err != nil {
-		return err
-	}
-	d.noteAppend()
-	return nil
+	return d.InsertEntityWithID(id, d.toEntity(doc))
 }
 
 // InsertEntity stores a pre-built entity durably (see Table.InsertEntity
@@ -222,22 +216,20 @@ func (d *DurableTable) InsertWithID(id ID, doc Doc) error {
 // uses it so a decoded record goes straight into the table and the WAL
 // without a Doc round trip. The entity is not retained.
 func (d *DurableTable) InsertEntity(e *entity.Entity) (ID, error) {
+	if err := d.Table.checkEntityAttrs(e); err != nil {
+		return 0, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return 0, ErrClosed
 	}
-	if err := d.Table.checkEntityAttrs(e); err != nil {
-		return 0, err
-	}
-	if err := d.logNewAttrs(); err != nil {
-		return 0, err
-	}
+	// The id the table assigns is deterministic; log after applying so
+	// the id is known, then the caller syncs when durability matters.
 	id := d.inner.Insert(e)
-	if err := d.w.Append(wal.Op{Kind: wal.KindInsert, ID: uint64(id), Data: e.Marshal(nil)}); err != nil {
+	if err := d.appendRecord(wal.KindInsert, id, e.Marshal(nil)); err != nil {
 		return 0, err
 	}
-	d.noteAppend()
 	return id, nil
 }
 
@@ -245,67 +237,40 @@ func (d *DurableTable) InsertEntity(e *entity.Entity) (ID, error) {
 // caller-chosen id (the sharded router's binary ingest path). Like
 // InsertWithID it panics if id is zero or already live.
 func (d *DurableTable) InsertEntityWithID(id ID, e *entity.Entity) error {
+	if err := d.Table.checkEntityAttrs(e); err != nil {
+		return err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return ErrClosed
 	}
-	if err := d.Table.checkEntityAttrs(e); err != nil {
-		return err
-	}
-	if err := d.logNewAttrs(); err != nil {
-		return err
-	}
 	d.inner.InsertWithID(id, e)
-	if err := d.w.Append(wal.Op{Kind: wal.KindInsert, ID: uint64(id), Data: e.Marshal(nil)}); err != nil {
-		return err
-	}
-	d.noteAppend()
-	return nil
+	return d.appendRecord(wal.KindInsert, id, e.Marshal(nil))
 }
 
 // UpdateEntity replaces a document durably with a pre-built entity.
 func (d *DurableTable) UpdateEntity(id ID, e *entity.Entity) (bool, error) {
+	if err := d.Table.checkEntityAttrs(e); err != nil {
+		return false, err
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return false, ErrClosed
 	}
-	if err := d.Table.checkEntityAttrs(e); err != nil {
-		return false, err
-	}
-	if err := d.logNewAttrs(); err != nil {
-		return false, err
-	}
 	if !d.inner.Update(id, e) {
 		return false, nil
 	}
-	if err := d.w.Append(wal.Op{Kind: wal.KindUpdate, ID: uint64(id), Data: e.Marshal(nil)}); err != nil {
+	if err := d.appendRecord(wal.KindUpdate, id, e.Marshal(nil)); err != nil {
 		return false, err
 	}
-	d.noteAppend()
 	return true, nil
 }
 
 // Update replaces the document durably.
 func (d *DurableTable) Update(id ID, doc Doc) (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return false, ErrClosed
-	}
-	e := d.toEntity(doc)
-	if err := d.logNewAttrs(); err != nil {
-		return false, err
-	}
-	if !d.inner.Update(id, e) {
-		return false, nil
-	}
-	if err := d.w.Append(wal.Op{Kind: wal.KindUpdate, ID: uint64(id), Data: e.Marshal(nil)}); err != nil {
-		return false, err
-	}
-	d.noteAppend()
-	return true, nil
+	return d.UpdateEntity(id, d.toEntity(doc))
 }
 
 // Delete removes the document durably.
@@ -371,11 +336,10 @@ func (d *DurableTable) ReclusterPartition(shard int, pid uint64, max int, blende
 			res.Examined++
 		}
 		if moved {
-			if err := d.w.Append(wal.Op{Kind: wal.KindUpdate, ID: uint64(mv.ID), Data: mv.Data}); err != nil {
+			if err := d.appendRecord(wal.KindUpdate, mv.ID, mv.Data); err != nil {
 				d.mu.Unlock()
 				return res, err
 			}
-			d.noteAppend()
 			res.Moved++
 			res.Moves = append(res.Moves, mv)
 		}
@@ -465,8 +429,11 @@ func (d *DurableTable) Checkpoint() error {
 	if err := d.w.Sync(); err != nil {
 		return err
 	}
+	// A shared dictionary may grow while this runs: log the prefix as
+	// it stands now and count exactly that.
+	n := d.dict.Len()
 	var ops []wal.Op
-	for i := 0; i < d.dict.Len(); i++ {
+	for i := 0; i < n; i++ {
 		ops = append(ops, wal.Op{Kind: wal.KindAttr, ID: uint64(i), Data: []byte(d.dict.Name(i))})
 	}
 	for _, r := range d.inner.ScanAll() {
@@ -486,7 +453,7 @@ func (d *DurableTable) Checkpoint() error {
 		w.SetObserver(d.obsr)
 	}
 	d.w = w
-	d.logged = d.dict.Len()
+	d.logged = n
 	// The rewritten log captured everything ever appended: carry the LSN
 	// clock across the writer swap and mark all of it durable.
 	d.base = d.appendLSN.Load()

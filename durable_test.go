@@ -7,10 +7,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
+	"cinderella/internal/entity"
 	"cinderella/internal/obs"
+	"cinderella/internal/wal"
 )
 
 func openDurable(t *testing.T, path string, cfg Config) *DurableTable {
@@ -129,6 +132,69 @@ func TestDurableTornTail(t *testing.T) {
 	defer d2.Close()
 	if d2.Len() != 1 {
 		t.Fatalf("after torn tail Len = %d, want 1 (durable prefix)", d2.Len())
+	}
+}
+
+// TestDurableWriteAfterTornTail reopens a log whose last record a crash
+// tore, acks a new write, and reopens again: the write must be there. A
+// log reopened for appending without cutting the torn bytes off puts the
+// new record behind them, where replay never reaches.
+func TestDurableWriteAfterTornTail(t *testing.T) {
+	for _, cut := range []int{3, 9, 14} {
+		path := filepath.Join(t.TempDir(), "t.wal")
+		d := openDurable(t, path, Config{})
+		d.Insert(Doc{"a": 1})
+		d.Insert(Doc{"b": 2})
+		d.Close()
+		raw, _ := os.ReadFile(path)
+		if err := os.WriteFile(path, raw[:len(raw)-cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		d2 := openDurable(t, path, Config{})
+		id, err := d2.Insert(Doc{"c": 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d2.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		d2.Close()
+
+		d3, err := OpenFile(path, Config{})
+		if err != nil {
+			t.Fatalf("cut %d: reopen after an acked write: %v", cut, err)
+		}
+		if doc, ok := d3.Get(id); !ok || doc["c"] != int64(3) || d3.Len() != 2 {
+			t.Fatalf("cut %d: acked doc %d = %v, %v; Len %d, want 2", cut, id, doc, ok, d3.Len())
+		}
+		d3.Close()
+	}
+}
+
+// TestDurableRefusesUnloggedAttr writes logs by hand that break the
+// dense-prefix rule — a record using an attribute id its own log never
+// registered, or a registration that skips an id — and requires the open
+// to refuse them instead of resolving the id to some other name.
+func TestDurableRefusesUnloggedAttr(t *testing.T) {
+	e := &entity.Entity{}
+	e.Set(5, entity.Int(1))
+	attr := func(id uint64, name string) wal.Op { return wal.Op{Kind: wal.KindAttr, ID: id, Data: []byte(name)} }
+	cases := map[string][]wal.Op{
+		"record uses an unregistered id": {attr(0, "a"), {Kind: wal.KindInsert, ID: 1, Data: e.Marshal(nil)}},
+		"registration skips an id":       {attr(0, "a"), attr(2, "c")},
+	}
+	for name, ops := range cases {
+		path := filepath.Join(t.TempDir(), "t.wal")
+		if err := wal.Rewrite(path, ops); err != nil {
+			t.Fatal(err)
+		}
+		if d, err := OpenFile(path, Config{}); err == nil {
+			d.Close()
+			t.Errorf("%s: log opened, want a refusal", name)
+		} else if !strings.Contains(err.Error(), "attribute") {
+			t.Errorf("%s: err = %v, want an attribute refusal", name, err)
+		}
 	}
 }
 

@@ -31,63 +31,6 @@ func (e *Entity) Marshal(dst []byte) []byte {
 	return dst
 }
 
-// MarshalRemap encodes the entity like Marshal but maps every attribute
-// id through remap first. remap must be injective over the entity's
-// attributes and must report ok for all of them; a false return aborts
-// with an error naming the offending id. The output field order follows
-// the entity's (pre-remap) order, which may not be ascending in the
-// remapped id space — Unmarshal and UnmarshalInto restore the sorted
-// invariant on decode. The wire layer uses this to translate records
-// from a shard-local dictionary into the wire dictionary without
-// mutating entities that may be shared with concurrent readers.
-func (e *Entity) MarshalRemap(dst []byte, remap func(int) (int, bool)) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(e.fields)))
-	for _, f := range e.fields {
-		id, ok := remap(f.Attr)
-		if !ok {
-			return nil, fmt.Errorf("entity: no remapping for attribute id %d", f.Attr)
-		}
-		dst = binary.AppendUvarint(dst, uint64(id))
-		dst = append(dst, byte(f.Value.kind))
-		switch f.Value.kind {
-		case KindInt:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(f.Value.i))
-		case KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f.Value.f))
-		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(f.Value.s)))
-			dst = append(dst, f.Value.s...)
-		}
-	}
-	return dst, nil
-}
-
-// Remap rewrites every attribute id in place through remap and restores
-// the sorted-fields invariant. remap must be injective; a false return
-// aborts with an error and leaves the entity in an unspecified state
-// (callers discard it on error). The cached synopsis is invalidated; the
-// byte size is unchanged (ids do not contribute to SIZE()). The sort is
-// an insertion sort: remappings between dense dictionaries are
-// near-order-preserving, so the common case is a single linear pass and
-// no allocation — this keeps the binary ingest path at zero allocations
-// per op.
-func (e *Entity) Remap(remap func(int) (int, bool)) error {
-	for i := range e.fields {
-		id, ok := remap(e.fields[i].Attr)
-		if !ok {
-			return fmt.Errorf("entity: no remapping for attribute id %d", e.fields[i].Attr)
-		}
-		e.fields[i].Attr = id
-	}
-	for i := 1; i < len(e.fields); i++ {
-		for j := i; j > 0 && e.fields[j-1].Attr > e.fields[j].Attr; j-- {
-			e.fields[j-1], e.fields[j] = e.fields[j], e.fields[j-1]
-		}
-	}
-	e.syn = nil
-	return nil
-}
-
 // Unmarshal decodes a record produced by Marshal. It returns the decoded
 // entity and the number of bytes consumed.
 func Unmarshal(src []byte) (*Entity, int, error) {

@@ -58,9 +58,9 @@ func (r *Registry) NoteQueryShape(q *synopsis.Set) {
 }
 
 // QueryShape is one distinct query attribute set in the recent mix,
-// with its multiplicity. Attribute ids are shard-local dictionary ids:
-// a shape recorded by shard 2's handle only makes sense against shard
-// 2's dictionary, which is why QueryMix filters by shard.
+// with its multiplicity. Attribute ids are ids of the store's one
+// dictionary; QueryMix still filters by shard because heat is per
+// shard, and each shard's reclusterer blends its own recent mix.
 type QueryShape struct {
 	Shard int32 `json:"shard"`
 	Attrs []int `json:"attrs"`

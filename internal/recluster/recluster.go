@@ -484,8 +484,8 @@ func (m *Manager) selectVictims() []Victim {
 	return out
 }
 
-// blenderFor builds the workload blender for one shard from the recent
-// query-shape mix (attribute ids are shard-local, so each shard gets
+// blenderFor builds the workload blender for one shard from that
+// shard's recent query-shape mix (heat is per shard, so each shard gets
 // its own blender). Nil — pure attribute rating — when no recent
 // queries were recorded.
 func (m *Manager) blenderFor(shard int32) core.RatingBlender {

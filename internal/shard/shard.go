@@ -14,6 +14,15 @@
 // WALs in parallel. Recovery replays all shards concurrently and refuses
 // torn manifests, missing shard directories, and topology changes.
 //
+// All shards share one attribute dictionary, as the paper's universal
+// table has one attribute catalog, so synopsis bits, stored records and
+// wire ids all use the same attribute ids. There is no separate
+// dictionary file: ahead of each record, a shard WAL registers every
+// name the dictionary holds that the log has not registered yet, so each
+// log holds a dense prefix of the one dictionary, every name before the
+// first record that uses it, and replay rebuilds the dictionary from the
+// longest prefix.
+//
 // Queries fan out to every shard through the per-shard parallel-select
 // machinery and merge in deterministic (shard, partition-id) order;
 // Partitions() concatenates per-shard synopses, so Definition-1
@@ -39,8 +48,11 @@ import (
 	"cinderella/internal/table"
 )
 
-// manifestVersion guards the on-disk layout.
-const manifestVersion = 1
+// manifestVersion guards the on-disk layout. Version 2 shards share one
+// attribute dictionary: each shard log's attribute ids are ids of that
+// one dictionary. Version 1 logs hold per-shard ids and are refused;
+// converting them would mean rewriting every stored record.
+const manifestVersion = 2
 
 // manifestName is the topology commit record inside the shard directory.
 const manifestName = "manifest.json"
@@ -92,19 +104,9 @@ type Sharded struct {
 	// advances through consistent cuts.
 	syncMu sync.Mutex
 
-	// The binary wire layer negotiates attribute ids against one
-	// process-scoped dictionary, but every shard's table owns its own
-	// (WAL-logged) dictionary, so the id spaces diverge. wireDict is the
-	// process-scoped space; toShard/toWire are per-shard translation
-	// caches (index = source id, value = target id, -1 = not yet
-	// resolved). Ids are dense and stable in both spaces, so the caches
-	// are append-only and never invalidated. wireDict is not persisted:
-	// wire ids are session-scoped and clients re-register names after a
-	// restart (the wire handshake's session token detects that).
-	wireDict *entity.Dictionary
-	remapMu  sync.RWMutex
-	toShard  [][]int32 // [shard][wire id] -> shard-local id
-	toWire   [][]int32 // [shard][shard-local id] -> wire id
+	// dict is the one attribute dictionary every shard's table uses (see
+	// the package doc).
+	dict *entity.Dictionary
 
 	// obs is the registry family's root handle (shard views feed it);
 	// fan-out queries start their root spans here. Nil when
@@ -156,21 +158,23 @@ func Open(dir string, opts Options) (*Sharded, error) {
 	}
 
 	s := &Sharded{
-		dir:      dir,
-		shards:   make([]*cinderella.DurableTable, n),
-		wireDict: entity.NewDictionary(),
-		toShard:  make([][]int32, n),
-		toWire:   make([][]int32, n),
-		obs:      opts.Config.Obs,
+		dir:    dir,
+		shards: make([]*cinderella.DurableTable, n),
+		dict:   entity.NewDictionary(),
+		obs:    opts.Config.Obs,
 	}
 
-	// Replay all shards concurrently. Each shard directory must exist —
-	// a manifest promising a shard whose directory is gone is corruption,
-	// not an empty shard.
+	// Replay all shards concurrently into the shared dictionary. Each
+	// shard log is a dense prefix of the one dictionary, so any
+	// interleaving assigns every name the id it was logged under, and a
+	// prefix that disagrees refuses the open. Each shard directory must
+	// exist — a manifest promising a shard whose directory is gone is
+	// corruption, not an empty shard.
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		cfg := opts.Config
+		cfg.Dict = s.dict
 		if opts.Config.Obs != nil {
 			cfg.Obs = opts.Config.Obs.ShardView(i)
 		}
@@ -341,17 +345,17 @@ func (s *Sharded) Delete(id cinderella.ID) (bool, error) {
 	return ok, err
 }
 
-// Dict returns the process-scoped wire dictionary. Entities passed to
-// InsertEntity/UpdateEntity use its id space; entities returned by
-// GetEntity/QueryEntities are translated back into it.
-func (s *Sharded) Dict() *entity.Dictionary { return s.wireDict }
+// Dict returns the dictionary all shards share. Entities passed to
+// InsertEntity/UpdateEntity and returned by GetEntity/QueryEntities use
+// its ids; the shard tables refuse ids it has not assigned.
+func (s *Sharded) Dict() *entity.Dictionary { return s.dict }
 
 // ReclusterPartition delegates one victim-partition batch to the
 // owning shard's durable table (heat rows carry the shard id, so the
 // reclusterer addresses victims as (shard, partition) pairs). The
-// blender must be built from this shard's query mix: attribute ids are
-// shard-local. Each logged move advances the global LSN clock so the
-// group committer covers recluster writes like any other mutation.
+// blender should come from this shard's query mix, since heat is per
+// shard. Each logged move advances the global LSN clock so the group
+// committer covers recluster writes like any other mutation.
 func (s *Sharded) ReclusterPartition(shard int, pid uint64, max int, blender core.RatingBlender) (table.ReclusterResult, error) {
 	if shard < 0 || shard >= len(s.shards) {
 		return table.ReclusterResult{}, fmt.Errorf("shard: recluster on unknown shard %d of %d", shard, len(s.shards))
@@ -363,114 +367,42 @@ func (s *Sharded) ReclusterPartition(shard int, pid uint64, max int, blender cor
 	return res, err
 }
 
-// shardID translates a wire attribute id to shard si's local id. Unknown
-// wire ids (never registered in the wire dictionary) report false — the
-// trust boundary for ids decoded from untrusted wire bytes.
-func (s *Sharded) shardID(si, w int) (int, bool) {
-	s.remapMu.RLock()
-	m := s.toShard[si]
-	if w >= 0 && w < len(m) && m[w] >= 0 {
-		id := int(m[w])
-		s.remapMu.RUnlock()
-		return id, true
-	}
-	s.remapMu.RUnlock()
-	if w < 0 || w >= s.wireDict.Len() {
-		return 0, false
-	}
-	// Registering the name in the shard dictionary is safe here: the
-	// shard WAL logs new attributes with the next mutation on that shard.
-	id := s.shards[si].Dict().ID(s.wireDict.Name(w))
-	s.remapMu.Lock()
-	setRemap(&s.toShard[si], w, int32(id))
-	setRemap(&s.toWire[si], id, int32(w))
-	s.remapMu.Unlock()
-	return id, true
-}
-
-// wireID translates shard si's local attribute id to a wire id,
-// registering the name in the wire dictionary on first sight. Local ids
-// come from decoded shard records, so they are always valid.
-func (s *Sharded) wireID(si, local int) int {
-	s.remapMu.RLock()
-	m := s.toWire[si]
-	if local < len(m) && m[local] >= 0 {
-		w := int(m[local])
-		s.remapMu.RUnlock()
-		return w
-	}
-	s.remapMu.RUnlock()
-	w := s.wireDict.ID(s.shards[si].Dict().Name(local))
-	s.remapMu.Lock()
-	setRemap(&s.toWire[si], local, int32(w))
-	setRemap(&s.toShard[si], w, int32(local))
-	s.remapMu.Unlock()
-	return w
-}
-
-// setRemap grows m to cover index k (filling with -1) and sets m[k] = v.
-// Callers hold remapMu.
-func setRemap(m *[]int32, k int, v int32) {
-	for len(*m) <= k {
-		*m = append(*m, -1)
-	}
-	(*m)[k] = v
-}
-
 // InsertEntity stores a pre-built entity durably on its shard and
-// returns its globally unique id. Attribute ids are in the wire
-// dictionary's space; the entity is remapped in place to the owning
-// shard's space (it is not retained, but callers must re-encode before
-// reuse). Unknown wire ids fail without applying anything.
+// returns its globally unique id. An entity using an id the dictionary
+// has not assigned fails without applying anything.
 func (s *Sharded) InsertEntity(e *entity.Entity) (cinderella.ID, error) {
 	id := cinderella.ID(s.nextID.Add(1))
-	si := s.route(id)
-	if err := e.Remap(func(w int) (int, bool) { return s.shardID(si, w) }); err != nil {
-		return 0, err
-	}
-	if err := s.shards[si].InsertEntityWithID(id, e); err != nil {
+	if err := s.shards[s.route(id)].InsertEntityWithID(id, e); err != nil {
 		return 0, err
 	}
 	s.gAppend.Add(1)
 	return id, nil
 }
 
-// UpdateEntity replaces a document durably with a pre-built entity in
-// the wire dictionary's id space (see InsertEntity).
+// UpdateEntity replaces a document durably with a pre-built entity (see
+// InsertEntity).
 func (s *Sharded) UpdateEntity(id cinderella.ID, e *entity.Entity) (bool, error) {
 	if id == 0 {
 		return false, nil
 	}
-	si := s.route(id)
-	if err := e.Remap(func(w int) (int, bool) { return s.shardID(si, w) }); err != nil {
-		return false, err
-	}
-	ok, err := s.shards[si].UpdateEntity(id, e)
+	ok, err := s.shards[s.route(id)].UpdateEntity(id, e)
 	if ok && err == nil {
 		s.gAppend.Add(1)
 	}
 	return ok, err
 }
 
-// GetEntity returns the entity with the given id, remapped into the wire
-// dictionary's space. The entity is a fresh decode owned by the caller.
+// GetEntity returns the entity with the given id. The entity is a fresh
+// decode owned by the caller.
 func (s *Sharded) GetEntity(id cinderella.ID) (*entity.Entity, bool) {
 	if id == 0 {
 		return nil, false
 	}
-	si := s.route(id)
-	e, ok := s.shards[si].GetEntity(id)
-	if !ok {
-		return nil, false
-	}
-	// Local ids always translate, so this cannot fail.
-	e.Remap(func(local int) (int, bool) { return s.wireID(si, local), true })
-	return e, true
+	return s.shards[s.route(id)].GetEntity(id)
 }
 
-// QueryEntities fans out like Query but keeps the decoded entities,
-// remapped into the wire dictionary's space. The entities are fresh
-// per-query decodes owned by the caller.
+// QueryEntities fans out like Query but keeps the decoded entities. The
+// entities are fresh per-query decodes owned by the caller.
 func (s *Sharded) QueryEntities(attrs ...string) []cinderella.EntityRecord {
 	sp, children, start := s.startFan(obs.KindSelect, attrs)
 	out := s.queryEntitiesSpanned(children, attrs...)
@@ -491,20 +423,9 @@ func (s *Sharded) QueryEntitiesTraced(attrs ...string) ([]cinderella.EntityRecor
 }
 
 func (s *Sharded) queryEntitiesSpanned(children []*obs.QuerySpan, attrs ...string) []cinderella.EntityRecord {
-	per := make([][]cinderella.EntityRecord, len(s.shards))
-	var wg sync.WaitGroup
-	for i, d := range s.shards {
-		wg.Add(1)
-		go func(i int, d *cinderella.DurableTable) {
-			defer wg.Done()
-			recs := d.QueryEntitiesSpanned(children[i], attrs...)
-			for _, r := range recs {
-				r.Entity.Remap(func(local int) (int, bool) { return s.wireID(i, local), true })
-			}
-			per[i] = recs
-		}(i, d)
-	}
-	wg.Wait()
+	per := fanOut(s.shards, func(i int, d *cinderella.DurableTable) []cinderella.EntityRecord {
+		return d.QueryEntitiesSpanned(children[i], attrs...)
+	})
 	var out []cinderella.EntityRecord
 	for _, r := range per {
 		out = append(out, r...)

@@ -599,3 +599,159 @@ func BenchmarkShardedInsert(b *testing.B) {
 		})
 	}
 }
+
+// TestShardedSharedDictCrashReopen stresses the one shared dictionary:
+// concurrent writers register new attribute names on every shard, then
+// rounds of crash and reopen keep adding names, with a checkpoint every
+// fifth round. Each shard log holds a different-length prefix of the
+// dictionary; every reopen must rebuild the same ids from them, and
+// every synced document must come back with its attribute names.
+func TestShardedSharedDictCrashReopen(t *testing.T) {
+	const shards, writers, perWriter = 4, 8, 50
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Shards: shards, Config: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[cinderella.ID]cinderella.Doc{}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				doc := cinderella.Doc{fmt.Sprintf("w%d_n%d", w, i): int64(i), "common": int64(w)}
+				id, err := s.Insert(doc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				model[id] = doc
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 20; round++ {
+		// Every insert brings a new name, so the shards' prefixes end at
+		// different lengths.
+		for i := 0; i < 12; i++ {
+			doc := cinderella.Doc{fmt.Sprintf("r%d_n%d", round, i): int64(i)}
+			id, err := s.Insert(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model[id] = doc
+		}
+		if round%5 == 4 {
+			err = s.Checkpoint()
+		} else {
+			err = s.Sync()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An unsynced tail with more new names may or may not survive.
+		for i := 0; i < 3; i++ {
+			if _, err := s.Insert(cinderella.Doc{fmt.Sprintf("r%d_tail%d", round, i): int64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		crashed := t.TempDir()
+		copyTree(t, dir, crashed)
+		s.Close()
+		if s, err = Open(crashed, Options{Shards: shards, Config: testConfig()}); err != nil {
+			t.Fatalf("round %d: reopen: %v", round, err)
+		}
+		dir = crashed
+		for id, want := range model {
+			if got, ok := s.Get(id); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: Get(%d) = %v, %v; want %v", round, id, got, ok, want)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardedRefusesV1Manifest: a version-1 layout kept one dictionary
+// per shard, so its records' attribute ids mean nothing in the shared
+// dictionary. It is refused, naming both versions.
+func TestShardedRefusesV1Manifest(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(shardDir(dir, 0), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(`{"version":1,"shards":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, Options{Shards: 1, Config: testConfig()})
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "supports 2") {
+		t.Fatalf("v1 manifest: err = %v, want a refusal naming versions 1 and 2", err)
+	}
+}
+
+// TestShardedUnusedAttrHarmless registers names the way the wire
+// protocol's OpAttrs does, without a record that uses them. One is
+// logged anyway, because a later write on some shard logs the whole
+// prefix; the other is lost in the crash. Neither breaks recovery, and
+// the next new name takes the next dense id.
+func TestShardedUnusedAttrHarmless(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Shards: 3, Config: testConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, err := s.Insert(cinderella.Doc{"a": int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Dict().ID("ghost")
+	b, err := s.Insert(cinderella.Doc{"b": int64(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.Dict().ID("lost")
+
+	crashed := t.TempDir()
+	copyTree(t, dir, crashed)
+	s2, err := Open(crashed, Options{Shards: 3, Config: testConfig()})
+	if err != nil {
+		t.Fatalf("reopen after unused names: %v", err)
+	}
+	if _, ok := s2.Dict().Lookup("lost"); ok {
+		t.Fatal("a name no log registered survived the crash")
+	}
+	if got := s2.Dict().ID("c"); got != 3 {
+		t.Fatalf("next new name got id %d, want 3 (after a, ghost, b)", got)
+	}
+	c, err := s2.Insert(cinderella.Doc{"c": int64(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, err := Open(crashed, Options{Shards: 3, Config: testConfig()})
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer s3.Close()
+	for id, want := range map[cinderella.ID]cinderella.Doc{a: {"a": int64(1)}, b: {"b": int64(2)}, c: {"c": int64(3)}} {
+		if got, ok := s3.Get(id); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Get(%d) = %v, %v; want %v", id, got, ok, want)
+		}
+	}
+}

@@ -204,6 +204,7 @@ type Reader struct {
 	r    *bufio.Reader
 	c    io.Closer
 	done bool
+	off  int64 // bytes of the records returned so far
 }
 
 // Open opens path for replay. A missing file yields an empty reader.
@@ -261,8 +262,15 @@ func (r *Reader) Next() (Op, error) {
 		return Op{}, fmt.Errorf("wal: corrupt id")
 	}
 	data := payload[1+k:]
+	r.off += int64(len(hdr)) + int64(n)
 	return Op{Kind: kind, ID: id, Data: data}, nil
 }
+
+// Offset returns the byte length of the records Next has returned. Once
+// Next reports io.EOF it is where the durable prefix ends: a torn tail
+// starts there, and a writer reopening the log must truncate it away
+// before appending, or the new records land behind bytes replay stops at.
+func (r *Reader) Offset() int64 { return r.off }
 
 // Close releases the underlying file.
 func (r *Reader) Close() error {

@@ -19,9 +19,9 @@ import (
 )
 
 // Store is the entity-level storage contract the wire server serves:
-// satisfied by *cinderella.DurableTable (whose wire dictionary is the
-// table dictionary itself) and *shard.Sharded (which translates between
-// its process-scoped wire dictionary and the per-shard dictionaries).
+// satisfied by *cinderella.DurableTable and *shard.Sharded. Dict is the
+// dictionary the store's records use (for Sharded, the one its shards
+// share), so wire attribute ids are stored ids and pass through as is.
 type Store interface {
 	Dict() *entity.Dictionary
 	InsertEntity(*entity.Entity) (cinderella.ID, error)
@@ -182,7 +182,7 @@ type conn struct {
 	out      []byte        // response build buffer, reused across frames
 	scratch  entity.Entity // decoded-op scratch; stores never retain it
 	names    []string      // query attr-name scratch
-	dictSent int           // wire dictionary prefix already sent to this client
+	dictSent int           // dictionary prefix already sent to this client
 	bytesOut int64         // flushed response bytes (counted at flush)
 }
 
@@ -286,7 +286,7 @@ func (s *Server) handleFrame(c *conn, f Frame) (fatal bool) {
 	return false
 }
 
-// handleAttrs registers attribute names in the wire dictionary and
+// handleAttrs registers attribute names in the store's dictionary and
 // returns their ids in request order. Registration is allowed during
 // drain: it mutates only the in-memory dictionary (persisted lazily
 // with the next mutation), and read-side clients need it.
@@ -475,7 +475,7 @@ func (s *Server) handleGet(c *conn, f Frame) {
 }
 
 // handleQuery answers OpQuery: dictionary delta, record count, then
-// (id, entity) pairs. Query attributes are wire dictionary ids the
+// (id, entity) pairs. Query attributes are dictionary ids the
 // client registered via OpAttrs; unknown ids are a client error. An
 // optional trailing flags byte may request an inline trace
 // (QueryFlagTrace): the response then additionally carries the span

@@ -451,8 +451,8 @@ func TestServerAckedWritesSurviveRestart(t *testing.T) {
 }
 
 // TestServerShardedBackend runs the full protocol against a Sharded
-// store: the wire dictionary is process-scoped, ids are remapped per
-// shard, and clients cannot tell the difference.
+// store: every shard uses the one dictionary the wire ids come from, so
+// ids pass through untranslated and clients cannot tell the difference.
 func TestServerShardedBackend(t *testing.T) {
 	sh, err := shard.Open(t.TempDir(), shard.Options{
 		Shards: 3,
@@ -512,5 +512,24 @@ func TestServerShardedBackend(t *testing.T) {
 	n, _, err := wire.ReadUvarint(f.Payload, off)
 	if err != nil || n != 9 {
 		t.Fatalf("query matched %d, want 9 (err %v)", n, err)
+	}
+
+	// An id the dictionary never assigned fails its op, and nothing of
+	// the batch lands on any shard.
+	before := sh.Len()
+	c.send(wire.OpBatch, batchInsert(
+		numEnt(map[int]int64{ids[0]: 1, 9999: 2}),
+		numEnt(map[int]int64{ids[0]: 3}),
+	))
+	f = c.recv()
+	if f.Kind != wire.StatusOK {
+		t.Fatalf("batch with an unregistered id: %s", wire.DecodeErrorPayload(f.Payload))
+	}
+	codes, _, _ = parseBatchResults(t, f.Payload)
+	if len(codes) != 2 || codes[0] != wire.ResFailed || codes[1] != wire.ResUnapplied {
+		t.Fatalf("codes %v, want [ResFailed ResUnapplied]", codes)
+	}
+	if got := sh.Len(); got != before {
+		t.Fatalf("docs %d after a failed batch, want %d", got, before)
 	}
 }

@@ -23,10 +23,12 @@
 //	OpQuery  (attr ids)               → dictDelta, records
 //	OpPing   ()                       → ()
 //
-// Attribute ids on the wire are ids in the server's wire dictionary,
-// negotiated per name via OpAttrs. They are session-scoped: OpHello
-// returns a random per-process token, and a token change tells the
-// client its cached name→id map is stale (server restarted).
+// Attribute ids on the wire are ids in the store's attribute dictionary
+// (the one all shards share), negotiated per name via OpAttrs. They are
+// session-scoped: a name no stored record uses may not survive a
+// restart, and its id may then name another attribute. OpHello returns a
+// random per-process token, and a token change tells the client its
+// cached name→id map is stale (server restarted).
 //
 // Response statuses and the ack contract: StatusOK on a batch means
 // every op with an applied result code was applied AND fsynced (the

@@ -17,14 +17,16 @@ go vet ./...
 # Deleted things stay deleted: the read-mode toggles and the per-record
 # synopsis sidecar (one read path), the per-op-sync and run-time
 # parallelism toggles and the private bench harnesses' flags and baseline
-# files (one benchmark harness), and the value zone maps with their
+# files (one benchmark harness), the value zone maps with their
 # generation retry (value predicates filter the one synopsis-pruned
-# scan). The patterns live on the next two lines only.
+# scan), and the shard <-> wire attribute id remap (shards share one
+# dictionary). The patterns live on the next three lines only.
 GONE='SetLockedReads|SetBitmapScans|\[\]\[\]\*synopsis\.Set|PerOpSync|SetParallelism|allow-serial|sweep-clients' BASELINES='BENCH_*.json'
 GONE="$GONE|zoneGen|zoneWiden|zoneAbsorb|zoneTrim|RebuildZoneMaps|PruneZoneMiss|ResetPrunes|zmu"
+GONE="$GONE|remapMu|toShard|toWire|wireDict|setRemap|MarshalRemap|\.Remap\("
 echo "== deleted-stays-deleted gate"
 if grep -rnE "$GONE" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '_test\.go:'; then
-	echo "verify: a deleted toggle, sidecar field, private bench flag or zone map is back"; exit 1
+	echo "verify: a deleted toggle, sidecar field, private bench flag, zone map or id remap is back"; exit 1
 fi
 if ls $BASELINES >/dev/null 2>&1; then
 	echo "verify: a private baseline file is back at the root; bench/ is the only place a number comes from"; exit 1
