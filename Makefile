@@ -3,7 +3,7 @@
 GO ?= go
 OBS_PORT ?= 8080
 ADDR ?= 127.0.0.1:8263
-WAL ?= /tmp/cinderella.wal
+WAL ?= /tmp/cinderella-data
 
 .PHONY: verify build vet test race bench run-server obs-demo loc
 
@@ -36,8 +36,8 @@ loc:
 bench:
 	bash bench/run.sh
 
-# run-server starts cinderellad in the foreground on $(ADDR) with the
-# WAL at $(WAL). Drive it with `cinderella-load -target http://$(ADDR)`
+# run-server starts cinderellad in the foreground on $(ADDR) with its
+# data directory at $(WAL). Drive it with `cinderella-load -target http://$(ADDR)`
 # or the client package; SIGTERM (ctrl-C) drains gracefully.
 run-server:
 	$(GO) run ./cmd/cinderellad -addr $(ADDR) -wal $(WAL)

@@ -335,17 +335,6 @@ func (t *Table) QueryWithReportSpanned(sp *obs.QuerySpan, attrs ...string) ([]Re
 	return t.toRecords(res), rep
 }
 
-// QueryTraced runs QueryWithReport under a forced trace: the query
-// always gets a fully detailed span (sampling bypassed), returned
-// inline alongside the results. The span is nil when the table is
-// uninstrumented. Backs the server's ?trace=1 and the wire protocol's
-// trace flag.
-func (t *Table) QueryTraced(attrs ...string) ([]Record, QueryReport, *obs.QuerySpan) {
-	sp := t.obsr.StartQueryForced(obs.KindSelect)
-	recs, rep := t.QueryWithReportSpanned(sp, attrs...)
-	return recs, rep, sp
-}
-
 func (t *Table) attrIDs(attrs []string) []int {
 	ids := make([]int, 0, len(attrs))
 	for _, a := range attrs {
@@ -379,24 +368,9 @@ type EntityRecord struct {
 	Entity *entity.Entity
 }
 
-// QueryEntities is Query without the Doc conversion: results keep their
-// decoded entities. The entities are fresh per-query decodes, owned by
-// the caller.
-func (t *Table) QueryEntities(attrs ...string) []EntityRecord {
-	ids := t.attrIDs(attrs)
-	if len(ids) == 0 {
-		return nil
-	}
-	res := t.inner.Select(ids...)
-	out := make([]EntityRecord, len(res))
-	for i, r := range res {
-		out[i] = EntityRecord{ID: r.ID, Entity: r.Entity}
-	}
-	return out
-}
-
-// QueryEntitiesSpanned is QueryEntities filling an externally created
-// query span (sp may be nil). A query with no known attributes returns
+// QueryEntitiesSpanned is QuerySpanned without the Doc conversion:
+// results keep their decoded entities, fresh per-query decodes owned by
+// the caller. sp may be nil. A query with no known attributes returns
 // nil without touching the table; the span then stays empty.
 func (t *Table) QueryEntitiesSpanned(sp *obs.QuerySpan, attrs ...string) []EntityRecord {
 	ids := t.attrIDs(attrs)
@@ -409,13 +383,6 @@ func (t *Table) QueryEntitiesSpanned(sp *obs.QuerySpan, attrs ...string) []Entit
 		out[i] = EntityRecord{ID: r.ID, Entity: r.Entity}
 	}
 	return out
-}
-
-// QueryEntitiesTraced is QueryEntities under a forced trace (see
-// QueryTraced); the span is nil when the table is uninstrumented.
-func (t *Table) QueryEntitiesTraced(attrs ...string) ([]EntityRecord, *obs.QuerySpan) {
-	sp := t.obsr.StartQueryForced(obs.KindSelect)
-	return t.QueryEntitiesSpanned(sp, attrs...), sp
 }
 
 // GetEntity is Get without the Doc conversion. The returned entity is a

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +12,7 @@ import (
 
 	"cinderella"
 	"cinderella/internal/entity"
+	"cinderella/internal/shard"
 	"cinderella/internal/wire"
 )
 
@@ -326,10 +326,10 @@ func TestBinaryTokenChangeInvalidatesAttrCache(t *testing.T) {
 
 // ---- end-to-end against the real wire server ----
 
-func startWireServer(t *testing.T) (string, *wire.Server, *cinderella.DurableTable) {
+func startWireServer(t *testing.T) (string, *wire.Server, *shard.Sharded) {
 	t.Helper()
-	d, err := cinderella.OpenFile(filepath.Join(t.TempDir(), "t.wal"),
-		cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100})
+	d, err := shard.Open(t.TempDir(), shard.Options{Shards: 1,
+		Config: cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}

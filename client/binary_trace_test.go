@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"cinderella"
 	"cinderella/internal/obs"
+	"cinderella/internal/shard"
 	"cinderella/internal/wire"
 )
 
@@ -18,8 +18,8 @@ import (
 func startInstrumentedWireServer(t *testing.T) (string, *obs.Registry) {
 	t.Helper()
 	reg := obs.New(obs.Options{})
-	d, err := cinderella.OpenFile(filepath.Join(t.TempDir(), "t.wal"),
-		cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100, Obs: reg})
+	d, err := shard.Open(t.TempDir(), shard.Options{Shards: 1,
+		Config: cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100, Obs: reg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,9 @@ func TestBinaryQueryTraced(t *testing.T) {
 	if sp.Kind != obs.KindSelect || !sp.Sampled {
 		t.Fatalf("span = kind %q sampled %v, want forced select", sp.Kind, sp.Sampled)
 	}
-	if sp.EntitiesReturned != 3 || len(sp.Parts) == 0 {
+	// The root sums its one shard child, which holds the partition spans.
+	if sp.EntitiesReturned != 3 || len(sp.Children) != 1 ||
+		sp.Children[0].Shard != 0 || len(sp.Children[0].Parts) == 0 {
 		t.Fatalf("span not filled: %+v", sp)
 	}
 

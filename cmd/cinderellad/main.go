@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cinderellad -wal table.wal [-addr :8263] [-w W] [-b B] [-shards N]
+//	cinderellad [-wal DIR] [-addr :8263] [-w W] [-b B] [-shards N]
 //	            [-bin-addr :8264] [-bin-addr-file PATH]
 //	            [-strategy cinderella|universal|hash|roundrobin|schemaexact]
 //	            [-inflight N] [-read-inflight N] [-queue N]
@@ -38,17 +38,21 @@
 // write reaching a frozen partition thaws it immediately. Live status
 // is served at /debug/tier; with -recluster the reclusterer skips
 // frozen partitions. Freeze/thaw transitions are durable (a manifest
-// and the compressed images live next to the WAL) and survive restart.
+// and the compressed images live next to each shard's WAL) and survive
+// restart.
 //
 // -bin-addr additionally serves the length-prefixed binary protocol
 // (package internal/wire) on its own port. Both protocols share one
 // store and one group committer, so a binary batch and an HTTP insert
 // can ride the same fsync. -bin-addr-file mirrors -addr-file.
 //
-// With -shards N (N > 1) the daemon runs N independent Cinderella
+// The store is always internal/shard's: -wal names a directory holding
+// manifest.json and one shard-<i>/shard.wal per shard, created on first
+// start. -shards N (default 1) runs N independent Cinderella
 // partitioners, hash-routing documents by id and striping durability
-// across one WAL per shard; -wal then names a directory. The wire
-// format is identical either way — clients cannot tell the difference.
+// across the N logs; the count is fixed when the directory is created.
+// The wire format does not depend on N. A plain single-file WAL (the
+// library's DurableTable log) is refused, not imported.
 //
 // On SIGTERM or SIGINT the daemon drains gracefully: it stops admitting
 // writes (503 + Retry-After), finishes the in-flight ones, flushes the
@@ -95,8 +99,8 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	binAddr := flag.String("bin-addr", "", "binary wire protocol listen address (empty = HTTP only)")
 	binAddrFile := flag.String("bin-addr-file", "", "write the bound binary address to this file once listening")
-	walPath := flag.String("wal", "cinderella.wal", "write-ahead log path (with -shards >1: a directory of striped WALs)")
-	shards := flag.Int("shards", 1, "number of independent shards (>1 stripes the WAL and runs one partitioner per shard)")
+	walPath := flag.String("wal", "cinderella-data", "data directory: manifest.json plus one shard-<i>/shard.wal per shard")
+	shards := flag.Int("shards", 1, "number of independent shards, each with its own partitioner and WAL (fixed when the directory is created)")
 	w := flag.Float64("w", 0.5, "Cinderella weight w ∈ [0,1]")
 	b := flag.Int64("b", 5000, "partition size limit B (records)")
 	strategy := flag.String("strategy", "cinderella", "partitioning strategy")
@@ -179,26 +183,12 @@ func main() {
 		PartitionSizeLimit: *b,
 		Obs:                reg,
 	}
-	var d server.Store
-	var ws wire.Store      // entity-level view of the same store, for -bin-addr
-	var rs recluster.Store // migration view of the same store, for -recluster
-	var ts tier.Store      // tiering view of the same store, for -tier
-	var err error
-	if *shards > 1 {
-		sh, serr := shard.Open(*walPath, shard.Options{Shards: *shards, Config: cfg})
-		d, ws, rs, ts, err = sh, sh, sh, sh, serr
-	} else {
-		dt, derr := cinderella.OpenFile(*walPath, cfg)
-		d, ws, rs, err = dt, dt, dt, derr
-		if derr == nil {
-			ts = tier.Single(dt)
-		}
-	}
+	d, err := shard.Open(*walPath, shard.Options{Shards: *shards, Config: cfg})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cinderellad: opening %s: %v\n", *walPath, err)
 		os.Exit(1)
 	}
-	fmt.Printf("cinderellad: wal %s replayed (%d shards), %d docs, %d partitions\n",
+	fmt.Printf("cinderellad: %s replayed (%d shards), %d docs, %d partitions\n",
 		*walPath, *shards, d.Len(), len(d.Partitions()))
 
 	// Background tiering manager: freezes partitions the workload has
@@ -207,7 +197,7 @@ func main() {
 	var tmgr *tier.Manager
 	var tmgrCancel context.CancelFunc
 	if *tierOn {
-		tmgr = tier.New(ts, reg, tier.Config{
+		tmgr = tier.New(d, reg, tier.Config{
 			Interval:            *tierInterval,
 			TargetResidentBytes: *tierTargetBytes,
 			MaxFreezesPerTick:   *tierMaxFreezes,
@@ -239,7 +229,7 @@ func main() {
 				return !tmgr.IsFrozen(int(shard), pid)
 			}
 		}
-		mgr = recluster.New(rs, reg, rcfg)
+		mgr = recluster.New(d, reg, rcfg)
 		var rctx context.Context
 		rctx, mgrCancel = context.WithCancel(context.Background())
 		go mgr.Run(rctx)
@@ -278,7 +268,7 @@ func main() {
 	// a binary batch and an HTTP insert can share one fsync.
 	var wsrv *wire.Server
 	if *binAddr != "" {
-		wsrv = wire.New(ws, srv.Committer(), wire.Config{Obs: reg})
+		wsrv = wire.New(d, srv.Committer(), wire.Config{Obs: reg})
 		bln, err := net.Listen("tcp", *binAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cinderellad: listen %s: %v\n", *binAddr, err)

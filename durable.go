@@ -315,11 +315,8 @@ func (d *DurableTable) Compact(threshold float64) (int, error) {
 // re-places the entity with the plain attribute rating — a valid,
 // possibly different partition; contents and liveness are exact).
 // Locking and logging are per entity: concurrent writers interleave
-// between moves instead of stalling for the whole batch. The shard
-// parameter satisfies the reclusterer's store interface; an unsharded
-// table ignores it (heat rows report shard -1).
-func (d *DurableTable) ReclusterPartition(shard int, pid uint64, max int, blender core.RatingBlender) (table.ReclusterResult, error) {
-	_ = shard
+// between moves instead of stalling for the whole batch.
+func (d *DurableTable) ReclusterPartition(pid uint64, max int, blender core.RatingBlender) (table.ReclusterResult, error) {
 	members := d.inner.PartitionMembers(core.PartitionID(pid))
 	if max > 0 && len(members) > max {
 		members = members[:max]

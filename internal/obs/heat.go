@@ -23,7 +23,8 @@ import (
 // never removed (partition ids are not reused, and the live set is
 // bounded), so steady state is lock-free in practice.
 
-// heatKey identifies one partition in one shard (-1 = unsharded).
+// heatKey identifies one partition in one shard (-1 = the root handle:
+// span roots and library tables opened without a shard view).
 type heatKey struct {
 	shard int32
 	pid   uint64

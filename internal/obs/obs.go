@@ -242,14 +242,14 @@ type Options struct {
 // reading; producers hold the handle for the shard they belong to.
 type Registry struct {
 	*state
-	shard int32      // shard id stamped on trace events; -1 = unsharded
+	shard int32      // shard id stamped on trace events; -1 = the root handle
 	slot  *shardSlot // per-shard counter block; nil on the root handle
 }
 
 // state is the shared body behind every handle of one registry family.
 type state struct {
 	counters   [numCounters]atomic.Int64
-	partitions atomic.Int64 // gauge: current partition count (unsharded writers)
+	partitions atomic.Int64 // gauge: current partition count (root-handle writers)
 
 	// Per-shard counter blocks, created by ShardView. Append-only under
 	// shardMu; the slots themselves are atomic.
@@ -429,7 +429,7 @@ func (r *Registry) Counter(c Counter) int64 {
 
 // SetPartitions updates the current-partition-count gauge. A shard view
 // writes its shard's gauge; the aggregate reported by Partitions is the
-// unsharded gauge plus the per-shard gauges. Nil-safe.
+// root handle's gauge plus the per-shard gauges. Nil-safe.
 func (r *Registry) SetPartitions(n int64) {
 	if r == nil {
 		return
@@ -442,7 +442,7 @@ func (r *Registry) SetPartitions(n int64) {
 }
 
 // Partitions returns the partition-count gauge summed across the
-// unsharded writer and all shard views.
+// root-handle writer and all shard views.
 func (r *Registry) Partitions() int64 {
 	if r == nil {
 		return 0
@@ -662,7 +662,7 @@ func effRatio(relevant, read int64) float64 {
 }
 
 // TraceEvent appends a partitioner decision to the event trace ring,
-// stamping the handle's shard id (-1 on unsharded handles). Nil-safe; a
+// stamping the handle's shard id (-1 on the root handle). Nil-safe; a
 // no-op when tracing is disabled.
 func (r *Registry) TraceEvent(ev Event) {
 	if r == nil || r.trace == nil {

@@ -20,7 +20,8 @@ import (
 const qmixCap = 512
 
 // qmixShape is one recorded query attribute set, stamped with the
-// shard handle that recorded it (-1 = unsharded).
+// shard handle that recorded it (-1 = the root handle: span roots and
+// library tables opened without a shard view).
 type qmixShape struct {
 	shard int32
 	attrs []int

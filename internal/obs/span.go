@@ -114,7 +114,7 @@ type QuerySpan struct {
 	ID                uint64       `json:"trace_id"`
 	Kind              SpanKind     `json:"kind"`
 	Query             string       `json:"query,omitempty"`
-	Shard             int32        `json:"shard"` // -1 on roots and unsharded tables
+	Shard             int32        `json:"shard"` // -1 on roots and library tables
 	Sampled           bool         `json:"sampled"`
 	DurationNs        int64        `json:"duration_ns"`
 	PartitionsTotal   int64        `json:"partitions_total"`

@@ -65,7 +65,8 @@ func (k EventKind) String() string {
 // Event is one structured partitioner decision. Field meaning depends on
 // Kind (see the kind constants); unused fields are zero. Shard is the id
 // of the shard whose partitioner emitted the event (-1 when the producer
-// is an unsharded table); TraceEvent stamps it from the handle.
+// holds the root handle: a library table opened without a shard view);
+// TraceEvent stamps it from the handle.
 type Event struct {
 	Seq      uint64    `json:"seq"`
 	Kind     EventKind `json:"kind"`

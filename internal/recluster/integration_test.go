@@ -5,13 +5,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"cinderella"
 	"cinderella/internal/obs"
 	"cinderella/internal/recluster"
+	"cinderella/internal/shard"
 )
 
 // shiftDoc builds one adversarial entity: two common attributes plus
@@ -32,7 +32,7 @@ func shiftDoc(i int) cinderella.Doc {
 // sweep runs one query per attribute of the given family and returns
 // the aggregate relevant/read byte ratio — Definition 1's EFFICIENCY
 // over the sweep.
-func sweep(t *cinderella.Table, family string) float64 {
+func sweep(t *shard.Sharded, family string) float64 {
 	var read, relevant int64
 	for i := 0; i < 8; i++ {
 		_, rep := t.QueryWithReport(fmt.Sprintf("%s%d", family, i))
@@ -46,13 +46,13 @@ func sweep(t *cinderella.Table, family string) float64 {
 }
 
 // TestReclusterRecoversAfterShift drives the full loop end to end: a
-// durable table is trained on workload A, the workload shifts to B,
+// one-shard store (the daemon's default) is trained on workload A, the workload shifts to B,
 // and manager ticks with the workload-blended rating must migrate
 // entities until B's efficiency improves over the frozen layout.
 func TestReclusterRecoversAfterShift(t *testing.T) {
 	reg := cinderella.NewObserver()
 	cfg := cinderella.Config{PartitionSizeLimit: 16, Obs: reg}
-	dt, err := cinderella.OpenFile(filepath.Join(t.TempDir(), "shift.wal"), cfg)
+	dt, err := shard.Open(t.TempDir(), shard.Options{Shards: 1, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,22 +76,22 @@ func TestReclusterRecoversAfterShift(t *testing.T) {
 	// Phase A: warm the heat map and the query mix with the a-family
 	// workload, then let the reclusterer adapt the layout to it.
 	for r := 0; r < 4; r++ {
-		sweep(dt.Table, "a")
+		sweep(dt, "a")
 		m.Tick()
 	}
-	effAdapted := sweep(dt.Table, "a")
+	effAdapted := sweep(dt, "a")
 
 	// The workload shifts: forget the old mix, measure B on the frozen
 	// layout, then let the reclusterer chase the new workload.
 	for _, h := range reg.HeatSnapshot() {
 		reg.ResetHeat(h.Shard, h.Partition)
 	}
-	effFrozen := sweep(dt.Table, "b")
+	effFrozen := sweep(dt, "b")
 	for r := 0; r < 8; r++ {
-		sweep(dt.Table, "b")
+		sweep(dt, "b")
 		m.Tick()
 	}
-	effRecovered := sweep(dt.Table, "b")
+	effRecovered := sweep(dt, "b")
 
 	t.Logf("adapted(A)=%.3f frozen(B)=%.3f recovered(B)=%.3f", effAdapted, effFrozen, effRecovered)
 	if effRecovered <= effFrozen {
@@ -130,7 +130,7 @@ func TestReclusterRecoversAfterShift(t *testing.T) {
 func TestDebugReclusterEndpoint(t *testing.T) {
 	reg := cinderella.NewObserver()
 	cfg := cinderella.Config{PartitionSizeLimit: 16, Obs: reg}
-	dt, err := cinderella.OpenFile(filepath.Join(t.TempDir(), "dbg.wal"), cfg)
+	dt, err := shard.Open(t.TempDir(), shard.Options{Shards: 1, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDebugReclusterEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sweep(dt.Table, "a")
+	sweep(dt, "a")
 	m.Tick()
 
 	body = httpGet(t, srv.URL+"/debug/recluster")

@@ -38,9 +38,8 @@ import (
 )
 
 // Store is the reclusterer's view of the data plane: one bounded
-// re-rate-and-move batch against one (shard, partition) victim.
-// *cinderella.DurableTable implements it ignoring shard (-1 in heat
-// rows); shard.Sharded routes to the owning shard.
+// re-rate-and-move batch against one (shard, partition) victim, which
+// shard.Sharded routes to the owning shard.
 type Store interface {
 	ReclusterPartition(shard int, pid uint64, max int, blender core.RatingBlender) (table.ReclusterResult, error)
 }

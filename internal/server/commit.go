@@ -11,7 +11,7 @@ import (
 // The group-commit pipeline. Handler goroutines append their operation
 // to the WAL (buffered, no fsync) under the table lock, then hand the
 // resulting LSN to the Committer and block. A single background loop
-// makes whole batches durable with one DurableTable.SyncTo call each —
+// makes whole batches durable with one SyncTo call each —
 // at most one fsync per batch — and acknowledges every waiter at once.
 // Under N concurrent writers this turns N fsyncs into ~1 without
 // weakening the contract: an acknowledged operation is on disk.
@@ -31,8 +31,8 @@ type commitReq struct {
 	done chan error
 }
 
-// Syncer is the durability half of a Store: LSN bookkeeping plus the
-// coalescing sync the group committer drives. A sharded store's SyncTo
+// Syncer is the durability half of the store: LSN bookkeeping plus the
+// coalescing sync the group committer drives. The sharded store's SyncTo
 // is a vector sync across all shard WALs behind one global LSN, so the
 // committer batches writers across shards without knowing about them.
 type Syncer interface {

@@ -1,6 +1,6 @@
-// Package server is cinderellad's network service layer: the full
-// DurableTable API over HTTP/JSON with group-commit writes, bounded
-// admission, and graceful drain.
+// Package server is cinderellad's network service layer: the sharded
+// store's API (internal/shard) over HTTP/JSON with group-commit writes,
+// bounded admission, and graceful drain.
 //
 // Wire format (all bodies JSON, all errors {"error": "..."}):
 //
@@ -105,34 +105,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Store is the storage contract the server serves: the exact method set
-// of *cinderella.DurableTable, also satisfied by *shard.Sharded. The
-// daemon's wire format is identical either way — sharding is invisible
-// to clients.
-type Store interface {
-	Insert(cinderella.Doc) (cinderella.ID, error)
-	Get(cinderella.ID) (cinderella.Doc, bool)
-	Update(cinderella.ID, cinderella.Doc) (bool, error)
-	Delete(cinderella.ID) (bool, error)
-	Query(...string) []cinderella.Record
-	QueryWithReport(...string) ([]cinderella.Record, cinderella.QueryReport)
-	QueryTraced(...string) ([]cinderella.Record, cinderella.QueryReport, *obs.QuerySpan)
-	Partitions() []cinderella.PartitionStat
-	Compact(float64) (int, error)
-	Checkpoint() error
-	Len() int
-	Sync() error
-	Close() error
-	Syncer
-}
-
-var _ Store = (*cinderella.DurableTable)(nil)
-var _ Store = (*shard.Sharded)(nil)
-
-// Server serves a Store over HTTP. Create with New, expose with
+// Server serves a sharded store over HTTP. Create with New, expose with
 // Handler, shut down with BeginDrain + Finish (or Close).
 type Server struct {
-	d   Store
+	d   *shard.Sharded
 	cfg Config
 	com *Committer
 	obs *obs.Registry
@@ -146,7 +122,7 @@ type Server struct {
 
 // New builds a Server around d. The caller keeps ownership of d until
 // Finish, which closes it.
-func New(d Store, cfg Config) *Server {
+func New(d *shard.Sharded, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		d:        d,
@@ -657,7 +633,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// opErrStatus maps DurableTable errors to HTTP statuses.
+// opErrStatus maps store errors to HTTP statuses.
 func opErrStatus(err error) int {
 	if errors.Is(err, cinderella.ErrClosed) {
 		return http.StatusServiceUnavailable

@@ -16,12 +16,13 @@ import (
 	"cinderella"
 	"cinderella/client"
 	"cinderella/internal/obs"
+	"cinderella/internal/shard"
 )
 
-// harness spins up a DurableTable + Server + HTTP listener + client.
+// harness spins up a one-shard store + Server + HTTP listener + client.
 type harness struct {
 	path string
-	d    *cinderella.DurableTable
+	d    *shard.Sharded
 	srv  *Server
 	ts   *httptest.Server
 	cl   *client.Client
@@ -30,7 +31,7 @@ type harness struct {
 
 func newHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "srv.wal")
+	path := filepath.Join(t.TempDir(), "srv")
 	return openHarness(t, path, cfg)
 }
 
@@ -39,7 +40,7 @@ func openHarness(t *testing.T, path string, cfg Config) *harness {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New(obs.Options{})
 	}
-	d, err := cinderella.OpenFile(path, cinderella.Config{PartitionSizeLimit: 64, Obs: cfg.Obs})
+	d, err := openStore(path, cinderella.Config{PartitionSizeLimit: 64, Obs: cfg.Obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +56,11 @@ func openHarness(t *testing.T, path string, cfg Config) *harness {
 		srv.Close()
 	})
 	return h
+}
+
+// openStore opens the daemon's store, one shard, rooted at dir.
+func openStore(dir string, cfg cinderella.Config) (*shard.Sharded, error) {
+	return shard.Open(dir, shard.Options{Shards: 1, Config: cfg})
 }
 
 func TestServerRoundTrip(t *testing.T) {
@@ -129,7 +135,7 @@ func TestServerRoundTrip(t *testing.T) {
 	if err := h.srv.Finish(true); err != nil {
 		t.Fatal(err)
 	}
-	re, err := cinderella.OpenFile(h.path, cinderella.Config{PartitionSizeLimit: 64})
+	re, err := openStore(h.path, cinderella.Config{PartitionSizeLimit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +315,7 @@ func TestServerDrainLosesNothing(t *testing.T) {
 		t.Fatalf("second Finish: %v", err)
 	}
 
-	re, err := cinderella.OpenFile(h.path, cinderella.Config{PartitionSizeLimit: 64})
+	re, err := openStore(h.path, cinderella.Config{PartitionSizeLimit: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,9 +344,9 @@ func TestServerDrainLosesNothing(t *testing.T) {
 // acknowledged operation must survive; the torn tail must not corrupt
 // replay.
 func TestServerCrashRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash.wal")
+	path := filepath.Join(t.TempDir(), "crash")
 	reg := obs.New(obs.Options{})
-	d, err := cinderella.OpenFile(path, cinderella.Config{PartitionSizeLimit: 64, Obs: reg})
+	d, err := openStore(path, cinderella.Config{PartitionSizeLimit: 64, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +381,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	ts.Close()
 
 	// A torn partial record at the tail — the crash cut a write short.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(path, "shard-0", "shard.wal"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +390,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	}
 	f.Close()
 
-	re, err := cinderella.OpenFile(path, cinderella.Config{PartitionSizeLimit: 64})
+	re, err := openStore(path, cinderella.Config{PartitionSizeLimit: 64})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)
 	}
@@ -407,8 +413,7 @@ func TestServerCrashRecovery(t *testing.T) {
 }
 
 func TestCommitterStopFlushesPending(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.wal")
-	d, err := cinderella.OpenFile(path, cinderella.Config{})
+	d, err := openStore(t.TempDir(), cinderella.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,8 +456,7 @@ func TestCommitterStopFlushesPending(t *testing.T) {
 }
 
 func TestCommitterCommitRespectsContext(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.wal")
-	d, err := cinderella.OpenFile(path, cinderella.Config{})
+	d, err := openStore(t.TempDir(), cinderella.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,9 @@ func TestServerQueryTraceInline(t *testing.T) {
 	if sp.Kind != obs.KindSelect || !sp.Sampled {
 		t.Fatalf("span = kind %q sampled %v, want forced select", sp.Kind, sp.Sampled)
 	}
-	if sp.EntitiesReturned != 3 || sp.PartitionsTotal < 1 || len(sp.Parts) == 0 {
+	// The root sums its one shard child, which holds the partition spans.
+	if sp.EntitiesReturned != 3 || sp.PartitionsTotal < 1 || len(sp.Children) != 1 ||
+		sp.Children[0].Shard != 0 || len(sp.Children[0].Parts) == 0 {
 		t.Fatalf("span not filled: %+v", sp)
 	}
 	if sp.Query == "" {

@@ -62,7 +62,7 @@ func TestReclusterShardStampedTrace(t *testing.T) {
 		t.Fatalf("no migrations after 20 rounds: %+v", st)
 	}
 
-	// Progress must be attributed to real shards, not the unsharded -1.
+	// Progress must be attributed to real shards, not the root handle's -1.
 	for _, ps := range st.PerShard {
 		if ps.Shard < 0 || int(ps.Shard) >= s.Shards() {
 			t.Fatalf("progress attributed to invalid shard %d: %+v", ps.Shard, st.PerShard)

@@ -81,9 +81,8 @@ type Options struct {
 }
 
 // Sharded is a durable table horizontally partitioned across N
-// independent shards. It exposes the same method set as
-// *cinderella.DurableTable (the server.Store contract), so the daemon,
-// the client, and the wire format are unchanged.
+// independent shards, and the one store cinderellad serves for every N
+// (N = 1 is one shard). Each shard is a *cinderella.DurableTable.
 type Sharded struct {
 	dir    string
 	shards []*cinderella.DurableTable
@@ -122,6 +121,9 @@ type Sharded struct {
 //	dir/shard-0/shard.wal
 //	dir/shard-1/shard.wal
 //	...
+//
+// A regular file at dir (a cinderella.OpenFile log) is refused, not
+// imported, and left untouched.
 func Open(dir string, opts Options) (*Sharded, error) {
 	n := opts.Shards
 	if n == 0 {
@@ -129,6 +131,10 @@ func Open(dir string, opts Options) (*Sharded, error) {
 	}
 	if n < 0 {
 		return nil, fmt.Errorf("shard: shard count %d must be positive", n)
+	}
+	if fi, err := os.Stat(dir); err == nil && !fi.IsDir() {
+		return nil, fmt.Errorf("shard: %s is a file, not a store directory (want %s plus %s); a single-file WAL is not imported",
+			dir, filepath.Join(dir, manifestName), filepath.Join(dir, "shard-<i>", walName))
 	}
 
 	m, err := readManifest(dir)
@@ -286,9 +292,6 @@ func initLayout(dir string, n int) error {
 // Shards returns the shard count.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// ShardOf returns the shard index owning id.
-func (s *Sharded) ShardOf(id cinderella.ID) int { return s.route(id) }
-
 // route hashes an entity id onto a shard. Sequentially allocated ids are
 // scattered by a splitmix64-style finalizer so adjacent ids land on
 // different shards and concurrent ingest spreads across all locks.
@@ -360,7 +363,7 @@ func (s *Sharded) ReclusterPartition(shard int, pid uint64, max int, blender cor
 	if shard < 0 || shard >= len(s.shards) {
 		return table.ReclusterResult{}, fmt.Errorf("shard: recluster on unknown shard %d of %d", shard, len(s.shards))
 	}
-	res, err := s.shards[shard].ReclusterPartition(shard, pid, max, blender)
+	res, err := s.shards[shard].ReclusterPartition(pid, max, blender)
 	if res.Moved > 0 {
 		s.gAppend.Add(uint64(res.Moved))
 	}
@@ -625,7 +628,7 @@ func (s *Sharded) LastLSN() uint64 { return s.gAppend.Load() }
 func (s *Sharded) DurableLSN() uint64 { return s.gDurable.Load() }
 
 // SyncTo makes every mutation with global LSN <= lsn durable by syncing
-// the shards' WALs in parallel (a vector sync). Like the unsharded
+// the shards' WALs in parallel (a vector sync). Like DurableTable's
 // SyncTo it coalesces: a snapshot that already covered lsn returns
 // without touching any file, so one group-commit flush acknowledges
 // concurrent writers across all shards.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -753,5 +754,46 @@ func TestShardedUnusedAttrHarmless(t *testing.T) {
 		if got, ok := s3.Get(id); !ok || !reflect.DeepEqual(got, want) {
 			t.Fatalf("Get(%d) = %v, %v; want %v", id, got, ok, want)
 		}
+	}
+}
+
+// TestShardedRefusesPlainWALFile: a single-file log written by
+// cinderella.OpenFile is not a store directory. Open refuses it with a
+// message naming the layout it expects, and leaves the file untouched.
+func TestShardedRefusesPlainWALFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.wal")
+	d, err := cinderella.OpenFile(path, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Insert(cinderella.Doc{"a": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(path, Options{Shards: 1, Config: testConfig()})
+	if err == nil {
+		t.Fatal("a plain WAL file opened as a store directory")
+	}
+	for _, want := range []string{
+		filepath.Join(path, manifestName),
+		filepath.Join(path, "shard-<i>", walName),
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("plain WAL file: err = %v, want it to name %s", err, want)
+		}
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refusing the plain WAL file changed its bytes")
 	}
 }

@@ -40,48 +40,20 @@ import (
 	"cinderella/internal/table"
 )
 
-// State is one partition's tier row qualified by its owning shard (-1
-// for an unsharded table), the Store wire type and the /debug/tier
-// per-partition listing.
+// State is one partition's tier row qualified by its owning shard, the
+// Store wire type and the /debug/tier per-partition listing.
 type State struct {
 	Shard int `json:"shard"`
 	table.TierState
 }
 
-// Store is the tiering manager's view of the data plane.
-// shard.Sharded implements it directly; Single adapts an unsharded
-// *cinderella.DurableTable.
+// Store is the tiering manager's view of the data plane, implemented
+// by shard.Sharded.
 type Store interface {
 	TierStates() []State
 	FreezePartition(shard int, pid uint64) (bool, error)
 	ThawPartition(shard int, pid uint64) (bool, error)
 }
-
-// SingleTable is the unsharded durable table's tier surface
-// (*cinderella.DurableTable satisfies it structurally).
-type SingleTable interface {
-	TierStates() []table.TierState
-	FreezePartition(pid uint64) (bool, error)
-	ThawPartition(pid uint64) (bool, error)
-}
-
-// Single adapts an unsharded durable table to Store; its partitions
-// report shard -1, matching the heat map's unsharded convention.
-func Single(t SingleTable) Store { return single{t} }
-
-type single struct{ t SingleTable }
-
-func (s single) TierStates() []State {
-	states := s.t.TierStates()
-	out := make([]State, len(states))
-	for i, ts := range states {
-		out[i] = State{Shard: -1, TierState: ts}
-	}
-	return out
-}
-
-func (s single) FreezePartition(_ int, pid uint64) (bool, error) { return s.t.FreezePartition(pid) }
-func (s single) ThawPartition(_ int, pid uint64) (bool, error)   { return s.t.ThawPartition(pid) }
 
 // Config tunes the manager. Zero values take the documented defaults.
 type Config struct {

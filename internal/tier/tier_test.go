@@ -9,8 +9,8 @@ import (
 	"cinderella/internal/table"
 )
 
-// fakeStore is an in-memory tier surface: freeze halves the resident
-// footprint (the deflate stand-in), thaw restores it.
+// fakeStore is an in-memory one-shard tier surface: freeze halves the
+// resident footprint (the deflate stand-in), thaw restores it.
 type fakeStore struct {
 	mu     sync.Mutex
 	states map[uint64]*State
@@ -19,7 +19,7 @@ type fakeStore struct {
 func newFakeStore(pids ...uint64) *fakeStore {
 	fs := &fakeStore{states: make(map[uint64]*State)}
 	for _, pid := range pids {
-		fs.states[pid] = &State{Shard: -1, TierState: table.TierState{
+		fs.states[pid] = &State{Shard: 0, TierState: table.TierState{
 			Partition:     core.PartitionID(pid),
 			Entities:      10,
 			ResidentBytes: 1000,
@@ -81,9 +81,10 @@ func (fs *fakeStore) frozenSet(t *testing.T) map[uint64]bool {
 	return out
 }
 
-// touch feeds one query's worth of heat for pid into reg.
+// touch feeds one query's worth of heat for shard 0's partition pid
+// into reg.
 func touch(reg *obs.Registry, pid uint64) {
-	reg.FinishQuery(nil, 0, obs.QueryAgg{}, []obs.PartSpan{{
+	reg.ShardView(0).FinishQuery(nil, 0, obs.QueryAgg{}, []obs.PartSpan{{
 		Partition: pid, Scanned: 10, Returned: 10, BytesRead: 100, BytesRelevant: 100,
 	}})
 }
@@ -109,7 +110,7 @@ func TestIdlePartitionsFreezeQueriedOnesStayHot(t *testing.T) {
 	if !frozen[2] || !frozen[3] {
 		t.Fatalf("idle partitions not frozen: %v (round %+v)", frozen, round)
 	}
-	if !m.IsFrozen(-1, 2) || m.IsFrozen(-1, 1) {
+	if !m.IsFrozen(0, 2) || m.IsFrozen(0, 1) {
 		t.Fatal("IsFrozen disagrees with the store")
 	}
 }
@@ -220,41 +221,5 @@ func TestStatusAggregates(t *testing.T) {
 	}
 	if s.Freezes != 1 || s.Ticks != 1 {
 		t.Fatalf("status freezes=%d ticks=%d, want 1/1", s.Freezes, s.Ticks)
-	}
-}
-
-// TestSingleAdapter exercises the unsharded adapter against a minimal
-// SingleTable fake: shard qualifiers are -1 and calls pass through.
-type fakeSingle struct{ frozen bool }
-
-func (f *fakeSingle) TierStates() []table.TierState {
-	return []table.TierState{{Partition: 7, Entities: 3, Frozen: f.frozen}}
-}
-func (f *fakeSingle) FreezePartition(pid uint64) (bool, error) {
-	if pid != 7 || f.frozen {
-		return false, nil
-	}
-	f.frozen = true
-	return true, nil
-}
-func (f *fakeSingle) ThawPartition(pid uint64) (bool, error) {
-	if pid != 7 || !f.frozen {
-		return false, nil
-	}
-	f.frozen = false
-	return true, nil
-}
-
-func TestSingleAdapter(t *testing.T) {
-	st := Single(&fakeSingle{})
-	states := st.TierStates()
-	if len(states) != 1 || states[0].Shard != -1 || states[0].Partition != 7 {
-		t.Fatalf("adapter states = %+v", states)
-	}
-	if ok, err := st.FreezePartition(-1, 7); !ok || err != nil {
-		t.Fatalf("freeze through adapter = %v, %v", ok, err)
-	}
-	if ok, err := st.ThawPartition(-1, 7); !ok || err != nil {
-		t.Fatalf("thaw through adapter = %v, %v", ok, err)
 	}
 }

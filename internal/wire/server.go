@@ -19,9 +19,9 @@ import (
 )
 
 // Store is the entity-level storage contract the wire server serves:
-// satisfied by *cinderella.DurableTable and *shard.Sharded. Dict is the
-// dictionary the store's records use (for Sharded, the one its shards
-// share), so wire attribute ids are stored ids and pass through as is.
+// *shard.Sharded, or a decorator around it. Dict is the one dictionary
+// its shards share, so wire attribute ids are stored ids and pass
+// through as is.
 type Store interface {
 	Dict() *entity.Dictionary
 	InsertEntity(*entity.Entity) (cinderella.ID, error)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -158,10 +157,11 @@ func parseBatchResults(t *testing.T, p []byte) (codes []byte, ids []uint64, msgs
 	return
 }
 
-func openTable(t *testing.T) *cinderella.DurableTable {
+// openTable opens the daemon's default store: one shard.
+func openTable(t *testing.T) *shard.Sharded {
 	t.Helper()
-	d, err := cinderella.OpenFile(filepath.Join(t.TempDir(), "t.wal"),
-		cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100})
+	d, err := shard.Open(t.TempDir(), shard.Options{Shards: 1,
+		Config: cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,9 +412,8 @@ func TestServerDrainRejectsWritesServesReads(t *testing.T) {
 
 func TestServerAckedWritesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.wal")
-	cfg := cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100}
-	d, err := cinderella.OpenFile(path, cfg)
+	opts := shard.Options{Shards: 1, Config: cinderella.Config{Weight: 0.3, PartitionSizeLimit: 100}}
+	d, err := shard.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +439,7 @@ func TestServerAckedWritesSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := cinderella.OpenFile(path, cfg)
+	re, err := shard.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

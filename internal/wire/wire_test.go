@@ -7,15 +7,9 @@ import (
 	"io"
 	"testing"
 
-	"cinderella"
 	"cinderella/internal/entity"
-	"cinderella/internal/shard"
 	"cinderella/internal/wire"
 )
-
-// The wire server must serve both store shapes without either knowing.
-var _ wire.Store = (*cinderella.DurableTable)(nil)
-var _ wire.Store = (*shard.Sharded)(nil)
 
 func TestFrameRoundTrip(t *testing.T) {
 	payload := []byte("hello frame")

@@ -19,14 +19,22 @@ go vet ./...
 # parallelism toggles and the private bench harnesses' flags and baseline
 # files (one benchmark harness), the value zone maps with their
 # generation retry (value predicates filter the one synopsis-pruned
-# scan), and the shard <-> wire attribute id remap (shards share one
-# dictionary). The patterns live on the next three lines only.
+# scan), the shard <-> wire attribute id remap (shards share one
+# dictionary), and the single-table stand-ins for the daemon's store
+# with their "-1 = unsharded" rows (the daemon serves shard.Sharded for
+# every N). The patterns live on the next four lines only.
 GONE='SetLockedReads|SetBitmapScans|\[\]\[\]\*synopsis\.Set|PerOpSync|SetParallelism|allow-serial|sweep-clients' BASELINES='BENCH_*.json'
 GONE="$GONE|zoneGen|zoneWiden|zoneAbsorb|zoneTrim|RebuildZoneMaps|PruneZoneMiss|ResetPrunes|zmu"
 GONE="$GONE|remapMu|toShard|toWire|wireDict|setRemap|MarshalRemap|\.Remap\("
+GONE="$GONE|tier\.Single|SingleTable|ShardOf|Shard: -1"
 echo "== deleted-stays-deleted gate"
 if grep -rnE "$GONE" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '_test\.go:'; then
-	echo "verify: a deleted toggle, sidecar field, private bench flag, zone map or id remap is back"; exit 1
+	echo "verify: a deleted toggle, sidecar field, private bench flag, zone map, id remap or store stand-in is back"; exit 1
+fi
+# One store behind the daemon: the daemon and its layers never open a
+# single-file table themselves; only internal/shard does, once per shard.
+if grep -rn 'cinderella\.OpenFile' --include='*.go' cmd internal/server internal/wire internal/recluster internal/tier | grep -v '_test\.go:'; then
+	echo "verify: the daemon or a daemon layer opens a single-file table; it serves shard.Sharded only"; exit 1
 fi
 if ls $BASELINES >/dev/null 2>&1; then
 	echo "verify: a private baseline file is back at the root; bench/ is the only place a number comes from"; exit 1
@@ -55,7 +63,9 @@ echo "== go test -C bench ./..."
 go test -C bench -count=1 ./...
 
 # What that does not touch is the HTTP/JSON surface: the load CLI, the
-# /debug endpoints, inline traces, reads served across a drain.
+# /debug endpoints, inline traces, reads served across a drain. The
+# daemon runs with the flags bench/ measures (two shards, reclusterer,
+# tier manager), on the first start and on every reopen.
 echo "== cinderellad HTTP drill"
 SMOKE=$(mktemp -d)
 DPID=
@@ -63,11 +73,13 @@ trap 'kill "$DPID" 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 die() { echo "verify: $*"; cat "$SMOKE/daemon.log"; exit 1; }
 get() { curl -sf "http://$ADDR$1"; }
 
-# start_daemon FLAGS…: start cinderellad on an ephemeral port and wait
-# until it has bound; sets DPID and ADDR.
+# start_daemon FLAGS…: start cinderellad with the benchmarked flags plus
+# FLAGS on an ephemeral port and wait until it has bound; sets DPID and
+# ADDR.
 start_daemon() {
 	rm -f "$SMOKE/addr"
-	"$SMOKE/cinderellad" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" -wal "$SMOKE/smoke.wal" "$@" \
+	"$SMOKE/cinderellad" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" -wal "$SMOKE/smoke.d" \
+		-shards 2 -recluster -tier "$@" \
 		>>"$SMOKE/daemon.log" 2>&1 &
 	DPID=$!
 	for _ in $(seq 1 50); do
