@@ -160,24 +160,6 @@ func BenchmarkAblationSplitStarters(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCatalogIndex compares the linear catalog scan against
-// the inverted attribute index for candidate lookup.
-func BenchmarkAblationCatalogIndex(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		c    core.Config
-	}{
-		{"linear-scan", core.Config{Weight: 0.2, MaxSize: 200}},
-		{"attr-index", core.Config{Weight: 0.2, MaxSize: 200, UseCatalogIndex: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				loadSynthetic(b, cfg.c, 10000)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationWorkloadBased compares entity-based against
 // workload-based partitioning on query read volume.
 func BenchmarkAblationWorkloadBased(b *testing.B) {

@@ -83,9 +83,6 @@ type Config struct {
 	// records relevant to the same queries cluster together. Each query
 	// is the attribute set it references.
 	WorkloadQueries [][]string
-	// UseCatalogIndex enables the inverted attribute index for candidate
-	// partition lookup (faster inserts on large catalogs).
-	UseCatalogIndex bool
 	// CachePages, when positive, routes all page accesses through a
 	// simulated LRU buffer cache of that many pages; CacheStats reports
 	// hit ratios. Zero disables the cache.
@@ -135,10 +132,9 @@ func Open(cfg Config) *Table {
 	switch cfg.Strategy {
 	case StrategyCinderella:
 		assigner = core.NewCinderella(core.Config{
-			Weight:          cfg.Weight,
-			MaxSize:         cfg.PartitionSizeLimit,
-			SizeMode:        mode,
-			UseCatalogIndex: cfg.UseCatalogIndex,
+			Weight:   cfg.Weight,
+			MaxSize:  cfg.PartitionSizeLimit,
+			SizeMode: mode,
 		})
 	case StrategyUniversal:
 		assigner = core.NewSingle(mode)

@@ -27,9 +27,9 @@ func benchEntities(n int, seed int64) []Entity {
 	return out
 }
 
-func benchCatalog(b *testing.B, useIndex bool) (*Cinderella, []Entity) {
+func benchCatalog(b *testing.B) (*Cinderella, []Entity) {
 	b.Helper()
-	c := NewCinderella(Config{Weight: 0.5, MaxSize: 100, UseCatalogIndex: useIndex})
+	c := NewCinderella(Config{Weight: 0.5, MaxSize: 100})
 	for _, e := range benchEntities(5000, 1) {
 		c.Insert(e)
 	}
@@ -39,35 +39,27 @@ func benchCatalog(b *testing.B, useIndex bool) (*Cinderella, []Entity) {
 
 // BenchmarkFindBest measures the steady-state insert-path scan: rating one
 // incoming entity against the catalog. The regression target is 0
-// allocs/op — the scan reuses the incrementally maintained ordered
-// catalog, the epoch-stamped visited buffer, and the elements scratch
-// instead of allocating per call.
+// allocs/op — the scan reads the incrementally maintained ordered
+// catalog instead of allocating per call.
 func BenchmarkFindBest(b *testing.B) {
-	run := func(b *testing.B, useIndex bool) {
-		c, probes := benchCatalog(b, useIndex)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := &probes[i%len(probes)]
-			best, _ := c.findBest(p, nil)
-			if best == nil {
-				b.Fatal("findBest found no partition")
-			}
+	c, probes := benchCatalog(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &probes[i%len(probes)]
+		best, _ := c.findBest(p, nil)
+		if best == nil {
+			b.Fatal("findBest found no partition")
 		}
 	}
-	b.Run("scan", func(b *testing.B) { run(b, false) })
-	b.Run("catalog-index", func(b *testing.B) { run(b, true) })
 }
 
 // benchClassEntities builds n entities with class-local synopses: 12
 // attributes sampled from one of `classes` disjoint 24-attribute blocks
 // (DBpedia-style infobox attributes without the universal properties).
 // Same-class entities overlap enough to rate positively against their
-// class's partitions — entities cluster instead of opening singleton
-// partitions — while attribute selectivity across classes is what the
-// inverted catalog index exploits: a workload where some attribute
-// appears in every entity forces every partition into the candidate set
-// and no index can beat a plain scan.
+// class's partitions, so entities cluster instead of opening singleton
+// partitions.
 func benchClassEntities(n, classes, idBase int, seed int64) []Entity {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Entity, n)
@@ -84,12 +76,10 @@ func benchClassEntities(n, classes, idBase int, seed int64) []Entity {
 
 // BenchmarkInsert covers the full insert path (placement + synopsis
 // maintenance + occasional splits), the end-to-end cost the paper's
-// Figure 7 tracks, at three catalog scales. The linear scan rates every
-// partition per insert, so its cost grows with the catalog; the postings
-// index rates only partitions sharing an attribute with the entity. The
-// acceptance gate is index < scan at >=256 partitions; all three scales
-// exceed that (see the reported "partitions" metric for the actual
-// catalog size reached — the sub-bench names count prefill entities).
+// Figure 7 tracks, at three catalog scales. The scan rates every
+// partition per insert, so its cost grows with the catalog (see the
+// reported "partitions" metric for the catalog size reached — the
+// sub-bench names count prefill entities).
 func BenchmarkInsert(b *testing.B) {
 	scales := []struct {
 		name    string
@@ -101,8 +91,8 @@ func BenchmarkInsert(b *testing.B) {
 		{"pre80k", 80000, 64},
 	}
 	for _, sc := range scales {
-		run := func(b *testing.B, useIndex bool) {
-			c := NewCinderella(Config{Weight: 0.5, MaxSize: 100, UseCatalogIndex: useIndex})
+		b.Run(sc.name, func(b *testing.B) {
+			c := NewCinderella(Config{Weight: 0.5, MaxSize: 100})
 			for _, e := range benchClassEntities(sc.prefill, sc.classes, 0, 1) {
 				c.Insert(e)
 			}
@@ -114,8 +104,6 @@ func BenchmarkInsert(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(c.NumPartitions()), "partitions")
-		}
-		b.Run(sc.name+"/scan", func(b *testing.B) { run(b, false) })
-		b.Run(sc.name+"/index", func(b *testing.B) { run(b, true) })
+		})
 	}
 }

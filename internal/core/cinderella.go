@@ -26,22 +26,6 @@ type Cinderella struct {
 	// re-sorting the map on every insert.
 	ordered []*partition
 
-	// attrIndex maps attribute id -> postings: the partitions whose synopsis
-	// contains the attribute, as a slice sorted by ascending partition id
-	// (only when cfg.UseCatalogIndex). A sorted slice beats the former inner
-	// map on the scan side — candidates are read off a contiguous postings
-	// run instead of a randomized map walk — while ids stay unique via
-	// binary-search insert/delete and each partition remembers its indexed
-	// attributes (idxSyn) so removals touch only its own postings.
-	attrIndex map[int][]*partition
-
-	// Insert-path scratch, reused across operations so the steady-state
-	// findBest allocates nothing: visited de-duplicates index candidates by
-	// epoch stamp (bumped per scan) and elemScratch backs Syn.Elements.
-	visited     map[PartitionID]uint64
-	visitEpoch  uint64
-	elemScratch []int
-
 	stats OpStats
 
 	// obs, when set, receives live telemetry: counter deltas published
@@ -121,10 +105,6 @@ func NewCinderella(cfg Config) *Cinderella {
 		parts: make(map[PartitionID]*partition),
 		loc:   make(map[EntityID]PartitionID),
 		rng:   rand.New(rand.NewSource(seed)),
-	}
-	if cfg.UseCatalogIndex {
-		c.attrIndex = make(map[int][]*partition)
-		c.visited = make(map[PartitionID]uint64)
 	}
 	return c
 }
@@ -223,7 +203,6 @@ func (c *Cinderella) insert(ent *Entity, restrict []*partition, prev PartitionID
 		p := c.newPartition()
 		p.add(ent, c.cfg.entitySize(ent))
 		p.starterA = ent.ID
-		c.indexAdd(p, ent.Syn)
 		c.loc[ent.ID] = p.id
 		c.trace(obs.Event{Kind: obs.EvInsert, Entity: uint64(ent.ID), To: uint64(p.id)})
 		c.notify(Placement{Entity: ent.ID, From: prev, To: p.id})
@@ -242,7 +221,6 @@ func (c *Cinderella) insert(ent *Entity, restrict []*partition, prev PartitionID
 	}
 
 	// Normal case (line 36).
-	c.indexAdd(best, ent.Syn)
 	best.add(ent, c.cfg.entitySize(ent))
 	c.loc[ent.ID] = best.id
 	if restrict == nil {
@@ -259,7 +237,11 @@ func (c *Cinderella) findBest(ent *Entity, restrict []*partition) (*partition, f
 	bestRating := math.Inf(-1)
 	sizeE := c.cfg.entitySize(ent)
 
-	consider := func(p *partition) {
+	cands := c.ordered
+	if restrict != nil {
+		cands = restrict
+	}
+	for _, p := range cands {
 		c.stats.RatedPairs++
 		r := rate(c.cfg.Weight, ent, p.syn, sizeE, p.size)
 		score := r.Global
@@ -272,51 +254,6 @@ func (c *Cinderella) findBest(ent *Entity, restrict []*partition) (*partition, f
 		if score > bestRating || (score == bestRating && (best == nil || p.id < best.id)) {
 			bestRating = score
 			best = p
-		}
-	}
-
-	switch {
-	case restrict != nil:
-		for _, p := range restrict {
-			consider(p)
-		}
-	case c.attrIndex != nil:
-		// Candidate partitions share at least one attribute with the
-		// entity. Disjoint partitions all rate identically (pure negative
-		// evidence); one representative is enough when no overlapping
-		// partition scores non-negative — and a disjoint rating is always
-		// negative for w<1, so it can never beat a non-negative overlap
-		// score. We therefore rate overlapping candidates only; if none
-		// exists or all rate negative, a new partition is opened, which is
-		// exactly what a full scan would conclude (any disjoint partition
-		// also rates negative).
-		//
-		// Candidates are de-duplicated with the epoch-stamped visited
-		// buffer (reused across inserts) instead of a fresh map, and the
-		// index hands back the *partition directly — the steady-state scan
-		// allocates nothing.
-		c.visitEpoch++
-		epoch := c.visitEpoch
-		c.elemScratch = ent.Syn.Elements(c.elemScratch[:0])
-		for _, a := range c.elemScratch {
-			for _, p := range c.attrIndex[a] {
-				if c.visited[p.id] == epoch {
-					continue
-				}
-				c.visited[p.id] = epoch
-				consider(p)
-			}
-		}
-		if best == nil && c.cfg.Weight == 1 {
-			// w=1 ignores negative evidence; disjoint partitions rate 0 and
-			// are admissible. Fall back to a full scan for correctness.
-			for _, p := range c.ordered {
-				consider(p)
-			}
-		}
-	default:
-		for _, p := range c.ordered {
-			consider(p)
 		}
 	}
 	return best, bestRating
@@ -345,7 +282,6 @@ func (c *Cinderella) split(p *partition, ent *Entity, prev PartitionID) Partitio
 		}
 		target.add(se, c.cfg.entitySize(se))
 		target.starterA = se.ID
-		c.indexAdd(target, se.Syn)
 		c.loc[se.ID] = target.id
 		if from != NoPartition {
 			c.stats.SplitMoves++
@@ -501,7 +437,6 @@ func (c *Cinderella) Delete(id EntityID) {
 	e := p.members[id]
 	p.remove(id, c.cfg.entitySize(e))
 	delete(c.loc, id)
-	c.indexRebuild(p)
 	c.trace(obs.Event{Kind: obs.EvDelete, Entity: uint64(id), From: uint64(pid)})
 	if len(p.members) == 0 {
 		c.dropPartition(p)
@@ -523,7 +458,6 @@ func (c *Cinderella) Update(e Entity) PartitionID {
 	// Temporarily take the entity out so ratings do not count it twice.
 	p.remove(e.ID, c.cfg.entitySize(old))
 	delete(c.loc, e.ID)
-	c.indexRebuild(p)
 
 	ent := e
 	best, bestRating := c.findBest(&ent, nil)
@@ -532,7 +466,6 @@ func (c *Cinderella) Update(e Entity) PartitionID {
 		// Same partition wins: update in place.
 		p.add(&ent, c.cfg.entitySize(&ent))
 		p.updateStarters(&ent)
-		c.indexAdd(p, ent.Syn)
 		c.loc[e.ID] = pid
 		c.trace(obs.Event{Kind: obs.EvUpdate, Entity: uint64(e.ID), From: uint64(pid), To: uint64(pid), Rating: bestRating})
 		c.publish()
@@ -571,10 +504,6 @@ func (c *Cinderella) dropPartition(p *partition) {
 	if i := sort.Search(len(c.ordered), func(i int) bool { return c.ordered[i].id >= p.id }); i < len(c.ordered) && c.ordered[i].id == p.id {
 		c.ordered = append(c.ordered[:i], c.ordered[i+1:]...)
 	}
-	if c.visited != nil {
-		delete(c.visited, p.id)
-	}
-	c.indexRemoveAll(p)
 	c.trace(obs.Event{Kind: obs.EvDrop, From: uint64(p.id)})
 	c.notify(Placement{Entity: 0, From: p.id, To: NoPartition})
 }
@@ -588,76 +517,6 @@ func (c *Cinderella) notify(pl Placement) {
 	}
 	if c.moved != nil {
 		c.moved(pl)
-	}
-}
-
-// --- inverted attribute index (UseCatalogIndex ablation) ---
-
-func (c *Cinderella) indexAdd(p *partition, syn *synopsis.Set) {
-	if c.attrIndex == nil {
-		return
-	}
-	if p.idxSyn == nil {
-		p.idxSyn = synopsis.New(0)
-	}
-	syn.ForEach(func(a int) {
-		if p.idxSyn.Contains(a) {
-			return
-		}
-		p.idxSyn.Add(a)
-		c.attrIndex[a] = postingsInsert(c.attrIndex[a], p)
-	})
-}
-
-// indexRebuild re-derives index membership for p after attribute refcounts
-// dropped (deletes/updates can shrink a partition synopsis). Only p's own
-// indexed attributes (idxSyn) are visited, not the whole index.
-func (c *Cinderella) indexRebuild(p *partition) {
-	if c.attrIndex == nil || p.idxSyn == nil {
-		return
-	}
-	p.idxSyn.ForEach(func(a int) {
-		if p.syn.Contains(a) {
-			return
-		}
-		p.idxSyn.Remove(a)
-		c.postingsRemove(a, p)
-	})
-}
-
-func (c *Cinderella) indexRemoveAll(p *partition) {
-	if c.attrIndex == nil || p.idxSyn == nil {
-		return
-	}
-	p.idxSyn.ForEach(func(a int) {
-		c.postingsRemove(a, p)
-	})
-	p.idxSyn = nil
-}
-
-// postingsInsert adds p to an id-sorted postings slice, keeping order.
-// Callers guarantee p is absent (idxSyn gates duplicates).
-func postingsInsert(ps []*partition, p *partition) []*partition {
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].id >= p.id })
-	ps = append(ps, nil)
-	copy(ps[i+1:], ps[i:])
-	ps[i] = p
-	return ps
-}
-
-// postingsRemove splices p out of attribute a's postings slice and drops
-// the map entry when the slice empties.
-func (c *Cinderella) postingsRemove(a int, p *partition) {
-	ps := c.attrIndex[a]
-	i := sort.Search(len(ps), func(i int) bool { return ps[i].id >= p.id })
-	if i >= len(ps) || ps[i].id != p.id {
-		return
-	}
-	ps = append(ps[:i], ps[i+1:]...)
-	if len(ps) == 0 {
-		delete(c.attrIndex, a)
-	} else {
-		c.attrIndex[a] = ps
 	}
 }
 

@@ -513,66 +513,6 @@ func TestSmallerWeightMorePartitions(t *testing.T) {
 	}
 }
 
-func TestCatalogIndexMatchesFullScan(t *testing.T) {
-	// The inverted-index variant must produce the same partitioning as
-	// the linear catalog scan (placement decisions are identical).
-	mk := func(idx bool) *Cinderella {
-		return NewCinderella(Config{Weight: 0.4, MaxSize: 50, UseCatalogIndex: idx})
-	}
-	a, b := mk(false), mk(true)
-	rng := rand.New(rand.NewSource(21))
-	type op struct {
-		id    EntityID
-		attrs []int
-	}
-	var ops []op
-	for i := 1; i <= 1500; i++ {
-		attrs := []int{rng.Intn(3)}
-		for j := 0; j < rng.Intn(6); j++ {
-			attrs = append(attrs, rng.Intn(40))
-		}
-		ops = append(ops, op{EntityID(i), attrs})
-	}
-	for _, o := range ops {
-		a.Insert(ent(o.id, o.attrs...))
-		b.Insert(ent(o.id, o.attrs...))
-	}
-	if a.NumPartitions() != b.NumPartitions() {
-		t.Fatalf("partition counts diverge: scan=%d index=%d", a.NumPartitions(), b.NumPartitions())
-	}
-	// Co-location structure must be identical: entities sharing a
-	// partition under scan share one under index.
-	groupOf := func(c *Cinderella) map[PartitionID][]EntityID {
-		g := make(map[PartitionID][]EntityID)
-		for _, o := range ops {
-			pid, _ := c.Locate(o.id)
-			g[pid] = append(g[pid], o.id)
-		}
-		return g
-	}
-	ga, gb := groupOf(a), groupOf(b)
-	// Build co-membership key: for each entity, the set of peers.
-	peers := func(g map[PartitionID][]EntityID) map[EntityID]PartitionID {
-		m := make(map[EntityID]PartitionID)
-		for pid, mem := range g {
-			for _, id := range mem {
-				m[id] = pid
-			}
-		}
-		return m
-	}
-	pa, pb := peers(ga), peers(gb)
-	for _, o1 := range ops[:200] {
-		for _, o2 := range ops[:200] {
-			same1 := pa[o1.id] == pa[o2.id]
-			same2 := pb[o1.id] == pb[o2.id]
-			if same1 != same2 {
-				t.Fatalf("co-location diverges for %d,%d", o1.id, o2.id)
-			}
-		}
-	}
-}
-
 func TestStarterPolicies(t *testing.T) {
 	for _, pol := range []StarterPolicy{StarterIncremental, StarterExact, StarterRandom} {
 		c := NewCinderella(Config{Weight: 0.5, MaxSize: 6, StarterPolicy: pol, RandSeed: 7})

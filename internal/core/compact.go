@@ -109,7 +109,6 @@ func (c *Cinderella) merge(src, dst *partition) {
 		src.remove(id, c.cfg.entitySize(m))
 		dst.add(m, c.cfg.entitySize(m))
 		dst.updateStarters(m)
-		c.indexAdd(dst, m.Syn)
 		c.loc[id] = dst.id
 		c.stats.SplitMoves++
 		c.notify(Placement{Entity: id, From: src.id, To: dst.id})

@@ -75,11 +75,6 @@ type Config struct {
 	// r = r'/((SIZE(p)+SIZE(e))·|e∨p|) and compares raw local ratings r'
 	// across partitions instead (ablation).
 	DisableNormalization bool
-	// UseCatalogIndex maintains an inverted attribute→partitions index and
-	// rates only partitions sharing at least one attribute with the entity
-	// (plus tracking the best disjoint rating analytically). This is the
-	// "specialized data structures" direction from the paper's future work.
-	UseCatalogIndex bool
 	// RandSeed seeds the PRNG used by StarterRandom. Zero means seed 1.
 	RandSeed int64
 }

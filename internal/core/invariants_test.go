@@ -168,10 +168,6 @@ func BenchmarkCinderellaInsert(b *testing.B) {
 	benchInsert(b, Config{Weight: 0.5, MaxSize: 5000})
 }
 
-func BenchmarkCinderellaInsertIndexed(b *testing.B) {
-	benchInsert(b, Config{Weight: 0.5, MaxSize: 5000, UseCatalogIndex: true})
-}
-
 func benchInsert(b *testing.B, cfg Config) {
 	rng := rand.New(rand.NewSource(1))
 	syns := make([]*synopsis.Set, 1024)

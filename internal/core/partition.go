@@ -19,11 +19,6 @@ type partition struct {
 	// Either may be 0 (unset) after deletions or right after creation.
 	starterA EntityID
 	starterB EntityID
-	// idxSyn, when the catalog index is enabled, records the attributes
-	// under which this partition currently appears in attrIndex, so index
-	// removal walks only this partition's own postings. Nil when the index
-	// is off or the partition was never indexed.
-	idxSyn *synopsis.Set
 }
 
 func newPartition(id PartitionID) *partition {

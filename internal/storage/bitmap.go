@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -34,6 +35,11 @@ import (
 //     compact). Freeze and thaw keep positions, so the matrix is carried
 //     across as is.
 //
+// The matrix is also the partition's attribute synopsis — the only
+// record of which attributes its members carry. Each row keeps a count
+// of the live records carrying the attribute, so an insert or delete
+// changes the synopsis in O(1) per attribute, when a count crosses zero.
+//
 // Concurrency follows the segment's append-only/copy-on-write
 // discipline. A published view captures the matrix by value — slice
 // headers plus the position count; the only memory a writer later
@@ -43,7 +49,8 @@ import (
 // well-defined (on the word, never on the captured bits). Everything
 // that cannot be expressed as a fresh-position store — clearing a live
 // bit, growing the word arrays, registering a new attribute — copies and
-// swaps like a page delete does.
+// swaps like a page delete does. The counts are the writer's alone, and
+// the synopsis is copied before its first change after a capture.
 
 // bitmat is a segment's attribute-presence matrix. All word arrays
 // (live and every attrs row) always have identical length, grown
@@ -56,6 +63,17 @@ type bitmat struct {
 	live     []uint64   // live-record bitset (slot-directory tombstones folded in)
 	pageBase []int      // position of each page's slot 0
 	slots    int        // total positions (sum of per-page slot counts)
+
+	// counts is parallel to ids: the live records carrying each
+	// attribute. Writer-private — no view reads it — so it changes in
+	// place; freeze and thaw hand the new owner a copy.
+	counts []int
+	// syn holds the ids whose count is non-zero: the partition's
+	// attribute synopsis. Nil until the first insert. It is grown in
+	// place until a capture (View, freeze, thaw) shares it; from then on
+	// the next change clones it first (synShared).
+	syn       *synopsis.Set
+	synShared bool
 }
 
 // notePage registers a freshly appended page. Append may write one
@@ -100,12 +118,12 @@ func (m *bitmat) ensure(pos int) {
 	m.attrs = nattrs
 }
 
-// attrRow returns the presence row for attribute id, registering it
-// (copy-on-write on the outer slices) on first sight.
-func (m *bitmat) attrRow(id int) []uint64 {
+// attrRow returns the index of attribute id's presence row, registering
+// the row (copy-on-write on the outer slices) on first sight.
+func (m *bitmat) attrRow(id int) int {
 	i := sort.SearchInts(m.ids, id)
 	if i < len(m.ids) && m.ids[i] == id {
-		return m.attrs[i]
+		return i
 	}
 	nids := make([]int, len(m.ids)+1)
 	nattrs := make([][]uint64, len(m.attrs)+1)
@@ -117,7 +135,21 @@ func (m *bitmat) attrRow(id int) []uint64 {
 	copy(nattrs[i+1:], m.attrs[i:])
 	m.ids = nids
 	m.attrs = nattrs
-	return nattrs[i]
+	m.counts = slices.Insert(m.counts, i, 0)
+	return i
+}
+
+// flip adds (on) or removes attribute id from the synopsis, cloning it
+// first when a capture shares it.
+func (m *bitmat) flip(id int, on bool) {
+	if m.synShared {
+		m.syn, m.synShared = m.syn.Clone(), false
+	}
+	if on {
+		m.syn.Add(id)
+	} else {
+		m.syn.Remove(id)
+	}
 }
 
 // noteInsert records a fresh position: the record just appended at the
@@ -126,23 +158,63 @@ func (m *bitmat) noteInsert(syn *synopsis.Set) {
 	pos := m.slots
 	m.ensure(pos)
 	setBit(m.live, pos)
+	if m.syn == nil {
+		m.syn = synopsis.New(0)
+	}
 	if syn != nil {
 		syn.ForEach(func(id int) {
-			setBit(m.attrRow(id), pos)
+			i := m.attrRow(id)
+			setBit(m.attrs[i], pos)
+			if m.counts[i]++; m.counts[i] == 1 {
+				m.flip(id, true)
+			}
 		})
 	}
 	m.slots++
 }
 
-// noteDelete clears the live bit for (page, slot) via copy-on-write.
-// The attribute bits are left stale: live masks them out of every
-// kernel evaluation.
+// noteDelete clears the live bit for (page, slot) via copy-on-write and
+// takes the record's attributes out of the counts. The attribute bits
+// are left stale: live masks them out of every kernel evaluation.
 func (m *bitmat) noteDelete(page, slot int) {
 	pos := m.pageBase[page] + slot
+	wi, bit := pos>>6, uint64(1)<<(uint(pos)&63)
+	for i, row := range m.attrs {
+		if row[wi]&bit == 0 {
+			continue
+		}
+		if m.counts[i]--; m.counts[i] == 0 {
+			m.flip(m.ids[i], false)
+		}
+	}
 	nlive := make([]uint64, len(m.live))
 	copy(nlive, m.live)
-	nlive[pos>>6] &^= 1 << (uint(pos) & 63)
+	nlive[wi] &^= bit
 	m.live = nlive
+}
+
+// column fills dst with the attribute set of the record at (page,
+// slot): one bit test per presence row.
+func (m *bitmat) column(page, slot int, dst *synopsis.Set) *synopsis.Set {
+	pos := m.pageBase[page] + slot
+	wi, bit := pos>>6, uint64(1)<<(uint(pos)&63)
+	dst.Reset()
+	for i, row := range m.attrs {
+		if row[wi]&bit != 0 {
+			dst.Add(m.ids[i])
+		}
+	}
+	return dst
+}
+
+// owned returns the matrix for a new owner — a frozen or thawed
+// segment: the same arrays with a private copy of the counts, and the
+// synopsis marked shared. The caller marks the giving side's synopsis
+// shared as well.
+func (m bitmat) owned() bitmat {
+	m.counts = slices.Clone(m.counts)
+	m.synShared = true
+	return m
 }
 
 // compact returns the matrix of the vacuumed chain: the k-th live
@@ -150,11 +222,18 @@ func (m *bitmat) noteDelete(page, slot int) {
 // by moving its live bits down to their ranks in the live bitset.
 // pageBase is the rebuilt chain's (it has no tombstones, so its slot
 // total equals m's live count). Rows left without a live bit are
-// dropped. Every array is fresh; captures of m are untouched.
+// dropped; the others keep their counts, so the synopsis carries over.
+// Every array is fresh; captures of m are untouched.
 func (m *bitmat) compact(pageBase []int, slots int) bitmat {
 	nw := (m.slots + 63) >> 6
 	words := wordsFor(slots)
-	out := bitmat{live: make([]uint64, words), pageBase: pageBase, slots: slots}
+	out := bitmat{
+		live:      make([]uint64, words),
+		pageBase:  pageBase,
+		slots:     slots,
+		syn:       m.syn,
+		synShared: m.synShared,
+	}
 	for wi := 0; wi < slots>>6; wi++ {
 		out.live[wi] = ^uint64(0)
 	}
@@ -184,6 +263,7 @@ func (m *bitmat) compact(pageBase []int, slots int) bitmat {
 		if nrow != nil {
 			out.ids = append(out.ids, m.ids[i])
 			out.attrs = append(out.attrs, nrow)
+			out.counts = append(out.counts, m.counts[i])
 		}
 	}
 	return out

@@ -19,6 +19,7 @@ var allLive = BitmapProgram{}
 type scanView interface {
 	ScanBitmap(prog BitmapProgram, sc *BitmapScratch) ([]RecordID, int64, error)
 	Record(id RecordID) []byte
+	Synopsis() *synopsis.Set
 }
 
 // modelRec is the test-owned truth about one stored record.
@@ -44,15 +45,21 @@ func (r modelRec) satisfies(prog BitmapProgram) bool {
 }
 
 // capture is a view together with the model state it must keep
-// returning: the live records in storage order.
+// returning: the live records in storage order, and the union of their
+// attribute sets (nil while the segment has never held a record).
 type capture struct {
 	v    scanView
 	recs []modelRec
+	syn  *synopsis.Set
 }
 
-// verify runs prog over the captured view and compares the candidates —
-// ids, order, and payloads — with the model-derived set.
+// verify checks the captured view's synopsis against the model's union,
+// then runs prog over the view and compares the candidates — ids,
+// order, and payloads — with the model-derived set.
 func (c capture) verify(prog BitmapProgram, sc *BitmapScratch) error {
+	if got := c.v.Synopsis(); (got == nil) != (c.syn == nil) || got != nil && !got.Equal(c.syn) {
+		return fmt.Errorf("view synopsis %v, model's live union %v", got, c.syn)
+	}
 	got, _, err := c.v.ScanBitmap(prog, sc)
 	if err != nil {
 		return err
@@ -180,8 +187,15 @@ func (m *matrixModel) step() string {
 // capture publishes the current state as a view plus its model cut.
 func (m *matrixModel) capture() capture {
 	c := capture{recs: make([]modelRec, 0, len(m.model))}
+	if m.next > 0 {
+		c.syn = synopsis.New(0)
+	}
 	for _, id := range m.liveIDs() {
-		c.recs = append(c.recs, m.model[id])
+		r := m.model[id]
+		c.recs = append(c.recs, r)
+		if r.syn != nil {
+			c.syn.UnionWith(r.syn)
+		}
 	}
 	if m.cold != nil {
 		c.v = m.cold.View()
@@ -190,6 +204,28 @@ func (m *matrixModel) capture() capture {
 		c.v = &v
 	}
 	return c
+}
+
+// checkColumns compares the column read of every live record, hot or
+// frozen, with the attribute set it was inserted with.
+func (m *matrixModel) checkColumns() error {
+	dst := synopsis.New(0)
+	for id, r := range m.model {
+		var got *synopsis.Set
+		if m.cold != nil {
+			got = m.cold.Attrs(id, dst)
+		} else {
+			got = m.seg.Attrs(id, dst)
+		}
+		want := r.syn
+		if want == nil {
+			want = synopsis.New(0)
+		}
+		if !got.Equal(want) {
+			return fmt.Errorf("record %v: column %v, inserted with %v", id, got, want)
+		}
+	}
+	return nil
 }
 
 // wantCharge is the bulk charge every ScanBitmap call must make,
@@ -214,9 +250,12 @@ func readCharges(s *Stats) (pages, bytes, recs int64) {
 // thaw sequences, ScanBitmap's candidates for random conjunction,
 // disjunction and empty programs equal the set derived from a
 // test-owned map of attribute sets, every call charges exactly
-// (NumPages, LiveBytes, NumRecords), and views captured earlier keep
-// answering from their own cut. It is the test that fails when position
-// compaction in Vacuum (or the carry-over in freeze/thaw) is wrong.
+// (NumPages, LiveBytes, NumRecords), each view's Synopsis is the union
+// of the live records' attribute sets, every record's column read
+// returns its attribute set, and views captured earlier keep answering —
+// synopsis included — from their own cut. It is the test that fails
+// when position compaction in Vacuum (or the carry-over in freeze/thaw)
+// or the per-attribute live counts are wrong.
 func TestBitmapMatrixTracksModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -227,6 +266,9 @@ func TestBitmapMatrixTracksModel(t *testing.T) {
 			var held []capture
 			for i := 0; i < 120; i++ {
 				op := m.step()
+				if err := m.checkColumns(); err != nil {
+					t.Fatalf("step %d (%s): %v", i, op, err)
+				}
 				cur := m.capture()
 				progs := []BitmapProgram{allLive, {Disjunction: true}, m.randProg(), m.randProg(), m.randProg()}
 				for _, prog := range progs {
@@ -265,9 +307,10 @@ func TestBitmapMatrixTracksModel(t *testing.T) {
 
 // TestBitmapViewsReadableDuringMutation runs the same random life under
 // a concurrent reader that keeps scanning previously published views —
-// hot and cold — while the segment is mutated, vacuumed, frozen and
-// thawed underneath them. Run with -race: it pins the copy-on-write /
-// fresh-position discipline the lock-free read path depends on.
+// hot and cold — and reading their synopses while the segment is
+// mutated, vacuumed, frozen and thawed underneath them. Run with -race:
+// it pins the copy-on-write / fresh-position discipline, and the
+// synopsis' copy-on-flip, that the lock-free read path depends on.
 func TestBitmapViewsReadableDuringMutation(t *testing.T) {
 	for seed := int64(11); seed <= 13; seed++ {
 		stats := &Stats{}

@@ -11,6 +11,8 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+
+	"cinderella/internal/synopsis"
 )
 
 // The cold tier: a frozen partition's pages, compressed.
@@ -101,8 +103,9 @@ type ColdSegment struct {
 // table layer) and must hold exclusive access. The compression is
 // charged to the write counters like a physical copy to the cold tier.
 func FreezeSegment(s *Segment) *ColdSegment {
+	s.bm.synShared = true
 	c := &ColdSegment{
-		bm:       s.bm,
+		bm:       s.bm.owned(),
 		numPages: len(s.pages),
 		live:     s.live,
 		bytes:    s.bytes,
@@ -160,6 +163,16 @@ func (c *ColdSegment) RawBytes() int64 { return int64(c.numPages) * PageSize }
 
 // CompressedBytes returns the resident compressed footprint.
 func (c *ColdSegment) CompressedBytes() int64 { return c.compBytes }
+
+// Synopsis returns the attributes the frozen records carry (nil for a
+// decoded file image, which has no matrix). Callers must not modify it.
+func (c *ColdSegment) Synopsis() *synopsis.Set { return c.bm.syn }
+
+// Attrs fills dst with the attribute set of the frozen record id from
+// the hot presence matrix, inflating nothing, and returns it.
+func (c *ColdSegment) Attrs(id RecordID, dst *synopsis.Set) *synopsis.Set {
+	return c.bm.column(id.Page, id.Slot, dst)
+}
 
 // ColdReads returns the number of block decompressions since freeze —
 // the tiering manager's reheat signal.
@@ -234,7 +247,7 @@ func (c *ColdSegment) Read(id RecordID) ([]byte, error) {
 func (c *ColdSegment) Thaw() *Segment {
 	s := &Segment{
 		pages: make([]*Page, c.numPages),
-		bm:    c.bm,
+		bm:    c.bm.owned(),
 		stats: c.stats,
 		live:  c.live,
 		bytes: c.bytes,
@@ -273,6 +286,9 @@ func (v ColdView) NumRecords() int { return v.c.live }
 
 // LiveBytes returns the raw live payload bytes at freeze time.
 func (v ColdView) LiveBytes() int64 { return v.c.bytes }
+
+// Synopsis returns the frozen records' attribute synopsis.
+func (v ColdView) Synopsis() *synopsis.Set { return v.c.bm.syn }
 
 // Record returns the payload bytes of a candidate yielded by ScanBitmap,
 // inflating its block on demand (charged to the cold counters). Like

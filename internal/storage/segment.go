@@ -271,5 +271,17 @@ func (s *Segment) NumRecords() int { return s.live }
 // partition this segment backs.
 func (s *Segment) LiveBytes() int64 { return s.bytes }
 
+// Synopsis returns the attributes carried by at least one live record:
+// empty once the segment has held a record, nil before. The set may
+// change with the next mutation unless a view shares it, so callers
+// read it under the segment's lock and must not modify it.
+func (s *Segment) Synopsis() *synopsis.Set { return s.bm.syn }
+
+// Attrs fills dst with the attribute set of the live record id (as
+// given to InsertTagged) from the presence matrix and returns it.
+func (s *Segment) Attrs(id RecordID, dst *synopsis.Set) *synopsis.Set {
+	return s.bm.column(id.Page, id.Slot, dst)
+}
+
 // Stats returns the I/O counter the segment charges to.
 func (s *Segment) Stats() *Stats { return s.stats }

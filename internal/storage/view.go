@@ -1,5 +1,7 @@
 package storage
 
+import "cinderella/internal/synopsis"
+
 // SegView is an immutable snapshot of a segment: the page chain, the
 // attribute-presence matrix, and the live counters as of View(). It
 // stays valid — and returns exactly the captured state — under any
@@ -29,6 +31,7 @@ type SegView struct {
 // caller must hold the segment's exclusive lock (the table layer calls it
 // at the end of each mutation, before releasing the write lock).
 func (s *Segment) View() SegView {
+	s.bm.synShared = true
 	pages := make([]*Page, len(s.pages))
 	copy(pages, s.pages)
 	return SegView{
@@ -47,6 +50,10 @@ func (v *SegView) NumRecords() int { return v.live }
 
 // LiveBytes returns the live payload bytes at capture time.
 func (v *SegView) LiveBytes() int64 { return v.bytes }
+
+// Synopsis returns the attributes the live records carried at capture
+// time. The set is frozen; callers must not modify it.
+func (v *SegView) Synopsis() *synopsis.Set { return v.bm.syn }
 
 // Record returns the payload bytes of a candidate yielded by ScanBitmap.
 // The slice aliases frozen page memory and stays valid for the view's

@@ -22,9 +22,6 @@ func TestModelRandomOps(t *testing.T) {
 		{"cinderella", func() core.Assigner {
 			return core.NewCinderella(core.Config{Weight: 0.35, MaxSize: 40})
 		}},
-		{"cinderella-indexed", func() core.Assigner {
-			return core.NewCinderella(core.Config{Weight: 0.35, MaxSize: 40, UseCatalogIndex: true})
-		}},
 		{"schemaexact", func() core.Assigner { return core.NewSchemaExact(40, core.SizeCount) }},
 		{"hash", func() core.Assigner { return core.NewHash(5, core.SizeCount) }},
 	} {

@@ -20,7 +20,7 @@ func sizedSnapshot(t *testing.T, tbl *Table) (entCnt, entByte, partCnt, partByte
 	tbl.mu.RLock()
 	defer tbl.mu.RUnlock()
 	for pid, seg := range tbl.segs {
-		syn := tbl.attrSyn[pid]
+		syn := seg.Synopsis()
 		var n, b int64
 		seg.Scan(func(_ storage.RecordID, rec []byte) bool {
 			_, e, err := decodeRecord(rec)

@@ -22,8 +22,8 @@ import (
 //   - partHandle: one atomic pointer per partition, swapped to the
 //     partition's latest partSnap at the end of each mutation that
 //     touched it. partSnap contents are immutable after publication
-//     (attribute synopses are copy-on-flip, segment views are
-//     copy-on-write; see refAdd and storage.SegView).
+//     (segment views are copy-on-write, and the attribute synopsis they
+//     carry is copy-on-flip; see storage.SegView and storage's bitmat).
 //
 //   - partDir: the atomic partition directory, an id-ordered handle
 //     slice rebuilt only when a partition is created or dropped — the
@@ -57,7 +57,7 @@ const captureRetries = 16
 // view, frozen partitions a cold view over the compressed tier.
 type partSnap struct {
 	pid  core.PartitionID
-	syn  *synopsis.Set // attribute synopsis for pruning (copy-on-flip, frozen)
+	syn  *synopsis.Set // attribute synopsis for pruning, the view's (frozen)
 	view storage.SegView
 	cold storage.ColdView
 }
@@ -120,11 +120,12 @@ func (t *Table) endMut() {
 		h := t.handles[pid]
 		var ps *partSnap
 		if seg, ok := t.segs[pid]; ok {
-			ps = &partSnap{pid: pid, syn: t.attrSyn[pid], view: seg.View()}
+			v := seg.View()
+			ps = &partSnap{pid: pid, syn: v.Synopsis(), view: v}
 		} else if cs, ok := t.cold[pid]; ok {
 			// Frozen partition: publish the cold view (the segment is
 			// immutable, so the view is just a handle).
-			ps = &partSnap{pid: pid, syn: t.attrSyn[pid], cold: cs.View()}
+			ps = &partSnap{pid: pid, syn: cs.Synopsis(), cold: cs.View()}
 		} else {
 			// Partition dropped.
 			if h != nil {

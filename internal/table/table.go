@@ -122,14 +122,6 @@ type Table struct {
 	// thaw through seg().
 	cold map[core.PartitionID]*storage.ColdSegment
 	rows map[core.EntityID]rowLoc
-	// attrRefs maintains the exact per-partition attribute synopsis for
-	// query pruning; it is independent of the partitioner's synopses,
-	// which may be query-relevance sets under workload-based mode.
-	// attrSyn values are copy-on-flip once published: they are replaced,
-	// never mutated (snapshot readers hold them by pointer).
-	attrRefs  map[core.PartitionID]map[int]int
-	attrSyn   map[core.PartitionID]*synopsis.Set
-	entityAtt map[core.EntityID]*synopsis.Set // attribute synopsis cache
 
 	// Snapshot publication state (see snapshot.go). handles/dirty/
 	// dirChanged are writer-private under mu; dir and snapSeq are the
@@ -152,6 +144,9 @@ type Table struct {
 	// dissolving counts the records moved out of each partition a split
 	// or merge is dissolving (see onPlacement). Writer-private under mu.
 	dissolving map[core.PartitionID]int
+	// moveAttrs is onPlacement's scratch for a moved record's attribute
+	// set, read from its source segment's presence matrix.
+	moveAttrs *synopsis.Set
 
 	// qmu guards queries: query counters are updated by lock-free
 	// readers, so they need their own mutex.
@@ -202,12 +197,10 @@ func New(cfg Config) *Table {
 		segs:       make(map[core.PartitionID]*storage.Segment),
 		cold:       make(map[core.PartitionID]*storage.ColdSegment),
 		rows:       make(map[core.EntityID]rowLoc),
-		attrRefs:   make(map[core.PartitionID]map[int]int),
-		attrSyn:    make(map[core.PartitionID]*synopsis.Set),
-		entityAtt:  make(map[core.EntityID]*synopsis.Set),
 		handles:    make(map[core.PartitionID]*partHandle),
 		dirty:      make(map[core.PartitionID]struct{}),
 		dissolving: make(map[core.PartitionID]int),
+		moveAttrs:  synopsis.New(0),
 	}
 	t.dir.Store(&partDir{})
 	t.parallelism = par
@@ -306,7 +299,8 @@ func lapNs(start time.Time) int64 {
 //   - The in-flight record's placement writes t.pending into its
 //     partition.
 //   - A dissolution opens a split or merge of pl.From. Each member then
-//     moves out with one placement: its record is read in place and
+//     moves out with one placement: its record and its attribute set are
+//     read in place (the set from the source's presence matrix) and
 //     appended to the target — no copy, no delete, no decode. The
 //     source needs no copy-on-write per moved record because it is
 //     dropped whole inside the same mutation, so no snapshot ever sees
@@ -328,18 +322,18 @@ func (t *Table) onPlacement(pl core.Placement) {
 		// First physical placement of the in-flight record.
 		rec, attrs = t.pending, t.pendingAttrs
 		t.pendingDone = true
-		t.entityAtt[pl.Entity] = attrs
 	} else {
 		loc := t.rows[pl.Entity]
 		moved, ok := t.dissolving[loc.pid]
 		if !ok || loc.pid != pl.From {
 			panic(fmt.Sprintf("table: move of entity %d out of partition %d, which is not dissolving", pl.Entity, pl.From))
 		}
-		b, err := t.seg(loc.pid).Read(loc.rid)
+		src := t.seg(loc.pid)
+		b, err := src.Read(loc.rid)
 		if err != nil {
 			panic(fmt.Sprintf("table: moving entity %d: %v", pl.Entity, err))
 		}
-		rec, attrs = b, t.entityAtt[pl.Entity]
+		rec, attrs = b, src.Attrs(loc.rid, t.moveAttrs)
 		t.dissolving[loc.pid] = moved + 1
 	}
 
@@ -348,7 +342,6 @@ func (t *Table) onPlacement(pl core.Placement) {
 		panic(fmt.Sprintf("table: inserting entity %d into partition %d: %v", pl.Entity, pl.To, err))
 	}
 	t.rows[pl.Entity] = rowLoc{pid: pl.To, rid: rid}
-	t.refAdd(pl.To, attrs)
 	t.markDirty(pl.To)
 }
 
@@ -375,8 +368,6 @@ func (t *Table) drop(pid core.PartitionID) {
 		delete(t.cold, pid)
 	}
 	delete(t.segs, pid)
-	delete(t.attrRefs, pid)
-	delete(t.attrSyn, pid)
 	t.markDirty(pid)
 	t.dirChanged = true
 }
@@ -401,55 +392,6 @@ func (t *Table) seg(pid core.PartitionID) *storage.Segment {
 		t.dirChanged = true
 	}
 	return s
-}
-
-// refAdd and refRemove maintain the exact per-partition attribute
-// synopsis. The published sets are copy-on-flip: a set is cloned only
-// when membership actually changes (an attribute's refcount crosses zero)
-// and the clone replaces the map entry, so pointers held by published
-// snapshots stay frozen while the common no-flip case mutates nothing.
-// A partition without a published handle (one created in the current
-// mutation, such as a split's successor) has no such readers, so refAdd
-// grows its set in place.
-func (t *Table) refAdd(pid core.PartitionID, attrs *synopsis.Set) {
-	refs := t.attrRefs[pid]
-	if refs == nil {
-		refs = make(map[int]int)
-		t.attrRefs[pid] = refs
-		t.attrSyn[pid] = synopsis.New(0)
-	}
-	syn, shared := t.attrSyn[pid], t.handles[pid] != nil
-	attrs.ForEach(func(a int) {
-		if refs[a] == 0 {
-			if shared {
-				syn, shared = syn.Clone(), false
-			}
-			syn.Add(a)
-		}
-		refs[a]++
-	})
-	t.attrSyn[pid] = syn
-}
-
-func (t *Table) refRemove(pid core.PartitionID, attrs *synopsis.Set) {
-	refs := t.attrRefs[pid]
-	if refs == nil {
-		return
-	}
-	var cl *synopsis.Set
-	for _, a := range attrs.Elements(nil) {
-		refs[a]--
-		if refs[a] == 0 {
-			delete(refs, a)
-			if cl == nil {
-				cl = t.attrSyn[pid].Clone()
-			}
-			cl.Remove(a)
-		}
-	}
-	if cl != nil {
-		t.attrSyn[pid] = cl
-	}
 }
 
 // Insert stores e and returns its entity id. The entity is not retained;
@@ -523,11 +465,12 @@ func decodeRecord(rec []byte) (core.EntityID, *entity.Entity, error) {
 }
 
 // beginOp stages the record bytes and attribute set for the placement
-// listener.
+// listener. The segment transposes the set into its presence matrix and
+// keeps no reference to it.
 func (t *Table) beginOp(id core.EntityID, e *entity.Entity) {
 	t.pending = encodeRecord(id, e)
 	t.pendingID = id
-	t.pendingAttrs = e.Synopsis().Clone()
+	t.pendingAttrs = e.Synopsis()
 	t.pendingDone = false
 }
 
@@ -581,10 +524,8 @@ func (t *Table) Delete(id core.EntityID) bool {
 	if err := t.seg(loc.pid).Delete(loc.rid); err != nil {
 		panic(fmt.Sprintf("table: deleting entity %d: %v", id, err))
 	}
-	t.refRemove(loc.pid, t.entityAtt[id])
 	t.markDirty(loc.pid)
 	delete(t.rows, id)
-	delete(t.entityAtt, id)
 	t.assigner.Delete(id)
 	t.observer().SetPartitions(t.numPartsLocked())
 	return true
@@ -617,10 +558,8 @@ func (t *Table) replace(id core.EntityID, loc rowLoc, e *entity.Entity, blender 
 	if err := t.seg(loc.pid).Delete(loc.rid); err != nil {
 		panic(fmt.Sprintf("table: replacing entity %d: %v", id, err))
 	}
-	t.refRemove(loc.pid, t.entityAtt[id])
 	t.markDirty(loc.pid)
 	delete(t.rows, id)
-	delete(t.entityAtt, id)
 
 	t.beginOp(id, e)
 	if blender != nil {
@@ -635,8 +574,6 @@ func (t *Table) replace(id core.EntityID, loc rowLoc, e *entity.Entity, blender 
 			panic(fmt.Sprintf("table: rewriting entity %d: %v", id, err))
 		}
 		t.rows[id] = rowLoc{pid: pid, rid: rid}
-		t.entityAtt[id] = t.pendingAttrs
-		t.refAdd(pid, t.pendingAttrs)
 		t.markDirty(pid)
 		t.pendingDone = true
 	}
@@ -734,10 +671,10 @@ func (t *Table) Partitions() []PartitionView {
 	out := make([]PartitionView, 0, len(t.segs)+len(t.cold))
 	for pid, seg := range t.segs {
 		// Clone the synopsis: callers read the views after the lock is
-		// released, while inserts keep mutating the live sets.
+		// released, while inserts may keep mutating the segment's set.
 		out = append(out, PartitionView{
 			ID:       pid,
-			Synopsis: t.attrSyn[pid].Clone(),
+			Synopsis: seg.Synopsis().Clone(),
 			Entities: seg.NumRecords(),
 			Bytes:    seg.LiveBytes(),
 			Pages:    seg.NumPages(),
@@ -746,7 +683,7 @@ func (t *Table) Partitions() []PartitionView {
 	for pid, cs := range t.cold {
 		out = append(out, PartitionView{
 			ID:              pid,
-			Synopsis:        t.attrSyn[pid].Clone(),
+			Synopsis:        cs.Synopsis().Clone(),
 			Entities:        cs.NumRecords(),
 			Bytes:           cs.LiveBytes(),
 			Pages:           cs.NumPages(),
@@ -759,14 +696,15 @@ func (t *Table) Partitions() []PartitionView {
 }
 
 // MemberSynopses returns the attribute synopses of all entities in the
-// given partition (for sparseness metrics).
+// given partition (for sparseness metrics), read from its presence
+// matrix.
 func (t *Table) MemberSynopses(pid core.PartitionID) []*synopsis.Set {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []*synopsis.Set
-	for id, loc := range t.rows {
+	for _, loc := range t.rows {
 		if loc.pid == pid {
-			out = append(out, t.entityAtt[id])
+			out = append(out, t.attrsLocked(loc))
 		}
 	}
 	return out
@@ -777,8 +715,18 @@ func (t *Table) EntitySynopses() []*synopsis.Set {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]*synopsis.Set, 0, len(t.rows))
-	for id := range t.rows {
-		out = append(out, t.entityAtt[id])
+	for _, loc := range t.rows {
+		out = append(out, t.attrsLocked(loc))
 	}
 	return out
+}
+
+// attrsLocked reads the attribute set of the record at loc from its
+// partition's presence matrix, in either tier, into a fresh set. Callers
+// hold mu.
+func (t *Table) attrsLocked(loc rowLoc) *synopsis.Set {
+	if seg, hot := t.segs[loc.pid]; hot {
+		return seg.Attrs(loc.rid, synopsis.New(0))
+	}
+	return t.cold[loc.pid].Attrs(loc.rid, synopsis.New(0))
 }

@@ -20,16 +20,20 @@ go vet ./...
 # files (one benchmark harness), the value zone maps with their
 # generation retry (value predicates filter the one synopsis-pruned
 # scan), the shard <-> wire attribute id remap (shards share one
-# dictionary), and the single-table stand-ins for the daemon's store
-# with their "-1 = unsharded" rows (the daemon serves shard.Sharded for
-# every N). The patterns live on the next four lines only.
+# dictionary), the single-table stand-ins for the daemon's store with
+# their "-1 = unsharded" rows (the daemon serves shard.Sharded for every
+# N), the table's second and third copies of attribute membership (the
+# presence matrix is the one owner) and the catalog index with its
+# switch (findBest has one path). The patterns live on the next five
+# lines only.
 GONE='SetLockedReads|SetBitmapScans|\[\]\[\]\*synopsis\.Set|PerOpSync|SetParallelism|allow-serial|sweep-clients' BASELINES='BENCH_*.json'
 GONE="$GONE|zoneGen|zoneWiden|zoneAbsorb|zoneTrim|RebuildZoneMaps|PruneZoneMiss|ResetPrunes|zmu"
 GONE="$GONE|remapMu|toShard|toWire|wireDict|setRemap|MarshalRemap|\.Remap\("
 GONE="$GONE|tier\.Single|SingleTable|ShardOf|Shard: -1"
+GONE="$GONE|attrRefs|attrSyn|entityAtt|refAdd|refRemove|UseCatalogIndex|attrIndex|idxSyn|postingsInsert|visitEpoch"
 echo "== deleted-stays-deleted gate"
 if grep -rnE "$GONE" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '_test\.go:'; then
-	echo "verify: a deleted toggle, sidecar field, private bench flag, zone map, id remap or store stand-in is back"; exit 1
+	echo "verify: a deleted toggle, sidecar field, private bench flag, zone map, id remap, store stand-in, membership copy or catalog index is back"; exit 1
 fi
 # One store behind the daemon: the daemon and its layers never open a
 # single-file table themselves; only internal/shard does, once per shard.
@@ -40,9 +44,9 @@ if ls $BASELINES >/dev/null 2>&1; then
 	echo "verify: a private baseline file is back at the root; bench/ is the only place a number comes from"; exit 1
 fi
 
-echo "== go test -race ./... (and the two allocation guards, which -race skips)"
+echo "== go test -race ./... (and the allocation and heap guards, which -race skips)"
 go test -race ./...
-go test -run 'TestBitmapScanSteadyStateZeroAlloc|TestInsertAllocBudget' ./internal/table
+go test -run 'TestBitmapScanSteadyStateZeroAlloc|TestInsertAllocBudget|TestTableHeapPerDoc' ./internal/table
 
 # The suites whose subject is an interleaving — telemetry vs. writers,
 # group commit and drain, sharded writers vs. fan-out readers, the wire
