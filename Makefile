@@ -36,9 +36,10 @@ loc:
 bench:
 	bash bench/run.sh
 
-# run-server starts cinderellad in the foreground on $(ADDR) with its
-# data directory at $(WAL). Drive it with `cinderella-load -target http://$(ADDR)`
-# or the client package; SIGTERM (ctrl-C) drains gracefully.
+# run-server starts cinderellad in the foreground: HTTP (reads, admin,
+# health) on $(ADDR), the binary write protocol on its default :8264, and
+# its data directory at $(WAL). Drive it with `cinderella-load -target
+# http://$(ADDR)` or the client package; SIGTERM (ctrl-C) drains gracefully.
 run-server:
 	$(GO) run ./cmd/cinderellad -addr $(ADDR) -wal $(WAL)
 

@@ -1,7 +1,7 @@
 package client
 
 // The binary transport: a typed client for cinderellad's length-prefixed
-// wire protocol (internal/wire). Compared to the HTTP/JSON client it
+// wire protocol (internal/wire), the daemon's only write path. It
 // keeps persistent pooled connections, marshals documents once into the
 // server's native entity record format, batches concurrent writes into
 // single frames (flush on count, bytes, or linger — "natural" batching
@@ -9,7 +9,7 @@ package client
 // added latency while many writers self-tune to the round-trip), and
 // pipelines requests, matching responses by sequence number.
 //
-// Retry semantics mirror the HTTP client: only provably-unapplied
+// Retry semantics match the HTTP client's: only provably-unapplied
 // failures retry — StatusRetry frames (server draining or overloaded:
 // nothing applied), connection-refused dials, and the ResUnapplied
 // suffix of a partially failed batch. StatusNotDurable and mid-flight
@@ -621,9 +621,10 @@ func (b *Binary) writeOp(ctx context.Context, kind byte, id ID, doc Doc) (opResu
 }
 
 // InsertMany stores docs durably and returns their ids in order. The
-// ops ride the shared batcher, so one call becomes few frames and fewer
-// fsyncs. The first failed op's error is returned (later ops may still
-// have been applied; inspect ids[i] != 0 for insert success).
+// ops enter the shared batcher together, so one call becomes one frame
+// per maxOps ops (or per maxBytes) and few fsyncs. The first failed
+// op's error is returned (later ops may still have been applied;
+// inspect ids[i] != 0 for insert success).
 func (b *Binary) InsertMany(ctx context.Context, docs []Doc) ([]ID, error) {
 	// Register the union of attribute names in one round trip.
 	seen := make(map[string]struct{}, 16)
@@ -646,8 +647,8 @@ func (b *Binary) InsertMany(ctx context.Context, docs []Doc) ([]ID, error) {
 			return nil, err
 		}
 		ops[i] = &pendingOp{kind: wire.BatchInsert, rec: e.Marshal(nil), res: make(chan opResult, 1)}
-		b.bat.enqueue(ops[i])
 	}
+	b.bat.enqueue(ops...)
 	ids := make([]ID, len(docs))
 	var firstErr error
 	for i, op := range ops {
@@ -815,22 +816,28 @@ type batcher struct {
 	timer    *time.Timer
 }
 
-func (t *batcher) enqueue(op *pendingOp) {
+// enqueue queues ops in order under one lock hold, so one call's ops
+// share frames and split only at the op/byte caps. The last op's batch
+// leaves at once when nothing is in flight, and otherwise waits for the
+// in-flight batch or the linger timer.
+func (t *batcher) enqueue(ops ...*pendingOp) {
+	var batches [][]*pendingOp
 	t.mu.Lock()
-	t.cur = append(t.cur, op)
-	t.curBytes += len(op.rec) + 16
-	var batch []*pendingOp
-	if len(t.cur) >= t.maxOps || t.curBytes >= t.maxBytes || t.inflight == 0 {
-		batch = t.take()
-	} else if len(t.cur) == 1 {
-		if t.timer == nil {
-			t.timer = time.AfterFunc(t.linger, t.onLinger)
-		} else {
-			t.timer.Reset(t.linger)
+	for i, op := range ops {
+		t.cur = append(t.cur, op)
+		t.curBytes += len(op.rec) + 16
+		if len(t.cur) >= t.maxOps || t.curBytes >= t.maxBytes || (i == len(ops)-1 && t.inflight == 0) {
+			batches = append(batches, t.take())
+		} else if len(t.cur) == 1 {
+			if t.timer == nil {
+				t.timer = time.AfterFunc(t.linger, t.onLinger)
+			} else {
+				t.timer.Reset(t.linger)
+			}
 		}
 	}
 	t.mu.Unlock()
-	if batch != nil {
+	for _, batch := range batches {
 		go t.send(batch)
 	}
 }

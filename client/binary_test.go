@@ -12,6 +12,7 @@ import (
 
 	"cinderella"
 	"cinderella/internal/entity"
+	"cinderella/internal/obs"
 	"cinderella/internal/shard"
 	"cinderella/internal/wire"
 )
@@ -451,5 +452,39 @@ func TestBinaryInsertMany(t *testing.T) {
 	// Durability: acked means fsynced.
 	if d.DurableLSN() < d.LastLSN() {
 		t.Fatalf("acked writes not durable: %d < %d", d.DurableLSN(), d.LastLSN())
+	}
+}
+
+// TestBinaryInsertManyFrames pins InsertMany's framing: a call travels
+// as ⌈n/maxOps⌉ batch frames, never as a lone first op plus the rest.
+func TestBinaryInsertManyFrames(t *testing.T) {
+	addr, reg := startInstrumentedWireServer(t)
+	b := testBinary(t, addr, WithConns(1), WithBatch(64, 0, 0))
+	ctx := context.Background()
+
+	docs := func(n int) []Doc {
+		out := make([]Doc, n)
+		for i := range out {
+			out[i] = Doc{"v": int64(i)}
+		}
+		return out
+	}
+	// Warm up: dial, handshake, and register "v", so the counted calls
+	// send batch frames only.
+	if _, err := b.Insert(ctx, Doc{"v": int64(-1)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ docs, frames int }{{64, 1}, {130, 3}} {
+		before := reg.Counter(obs.CWireFrames)
+		ids, err := b.InsertMany(ctx, docs(tc.docs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != tc.docs {
+			t.Fatalf("InsertMany(%d) returned %d ids", tc.docs, len(ids))
+		}
+		if got := reg.Counter(obs.CWireFrames) - before; got != int64(tc.frames) {
+			t.Fatalf("InsertMany(%d) sent %d frames, want %d", tc.docs, got, tc.frames)
+		}
 	}
 }

@@ -1,8 +1,13 @@
-// Package client is the typed Go client for cinderellad (see
-// internal/server for the wire format). One Client is safe for
-// concurrent use and reuses connections through a shared
-// http.Transport; every request gets a per-call deadline, and requests
-// the server provably did not apply — 503 admission rejections and
+// Package client holds the typed Go clients for cinderellad. Binary
+// (binary.go) speaks the length-prefixed wire protocol (internal/wire)
+// and is the only one that writes: insert, update, delete, batches.
+// Client speaks HTTP/JSON (see internal/server for the format) for
+// reads, admin operations, and health; Health reports the binary
+// address that takes writes.
+//
+// One Client is safe for concurrent use and reuses connections through
+// a shared http.Transport; every request gets a per-call deadline, and
+// requests the server provably did not apply — 503 rejections and
 // connection-refused dials — are retried with bounded exponential
 // backoff, honouring Retry-After.
 package client
@@ -97,16 +102,6 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	return c, nil
 }
 
-// Insert stores doc durably on the server and returns its id. A nil
-// error means the server acknowledged the write as fsynced.
-func (c *Client) Insert(ctx context.Context, doc Doc) (ID, error) {
-	var resp struct {
-		ID uint64 `json:"id"`
-	}
-	err := c.do(ctx, http.MethodPost, "/v1/insert", map[string]any{"doc": doc}, &resp)
-	return ID(resp.ID), err
-}
-
 // Get fetches one document. The boolean is false when id is unknown.
 func (c *Client) Get(ctx context.Context, id ID) (Doc, bool, error) {
 	var resp struct {
@@ -122,24 +117,6 @@ func (c *Client) Get(ctx context.Context, id ID) (Doc, bool, error) {
 	}
 	doc, err := fromWire(resp.Doc)
 	return doc, err == nil, err
-}
-
-// Update replaces a document durably. It reports whether id existed.
-func (c *Client) Update(ctx context.Context, id ID, doc Doc) (bool, error) {
-	var resp struct {
-		Updated bool `json:"updated"`
-	}
-	err := c.do(ctx, http.MethodPost, "/v1/update", map[string]any{"id": uint64(id), "doc": doc}, &resp)
-	return resp.Updated, err
-}
-
-// Delete removes a document durably. It reports whether id existed.
-func (c *Client) Delete(ctx context.Context, id ID) (bool, error) {
-	var resp struct {
-		Deleted bool `json:"deleted"`
-	}
-	err := c.do(ctx, http.MethodPost, "/v1/delete", map[string]any{"id": uint64(id)}, &resp)
-	return resp.Deleted, err
 }
 
 // Query returns all documents instantiating at least one attribute.
@@ -216,14 +193,17 @@ func (c *Client) Checkpoint(ctx context.Context) error {
 
 // Health describes the server's liveness.
 type Health struct {
-	Status     string `json:"status"`
+	Status string `json:"status"`
+	// BinAddr is the bound address of the daemon's binary-protocol
+	// listener, which takes every write.
+	BinAddr    string `json:"bin_addr"`
 	Docs       int    `json:"docs"`
 	DurableLSN uint64 `json:"durable_lsn"`
 	LastLSN    uint64 `json:"last_lsn"`
 }
 
-// Health probes /v1/health (never queued server-side, so it answers
-// even under full admission load or drain).
+// Health probes /v1/health (outside the server's inflight bound, so it
+// answers even under full load or drain).
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
 	err := c.do(ctx, http.MethodGet, "/v1/health", nil, &h)

@@ -20,7 +20,7 @@ func TestClientRetriesOn503(t *testing.T) {
 			json.NewEncoder(w).Encode(map[string]string{"error": "admission queue full"})
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]uint64{"id": 7})
+		json.NewEncoder(w).Encode(map[string]int{"merged": 7})
 	}))
 	defer ts.Close()
 
@@ -28,12 +28,12 @@ func TestClientRetriesOn503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.Insert(context.Background(), Doc{"a": int64(1)})
+	merged, err := c.Compact(context.Background(), 0.5)
 	if err != nil {
-		t.Fatalf("insert should have survived two 503s: %v", err)
+		t.Fatalf("compact should have survived two 503s: %v", err)
 	}
-	if id != 7 || calls.Load() != 3 {
-		t.Fatalf("id=%d calls=%d, want 7 and 3", id, calls.Load())
+	if merged != 7 || calls.Load() != 3 {
+		t.Fatalf("merged=%d calls=%d, want 7 and 3", merged, calls.Load())
 	}
 }
 
@@ -47,13 +47,23 @@ func TestClientRetriesAreBounded(t *testing.T) {
 	defer ts.Close()
 
 	c, _ := New(ts.URL, WithRetries(2), WithBackoff(time.Millisecond))
-	_, err := c.Insert(context.Background(), Doc{"a": int64(1)})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
-		t.Fatalf("want surfaced 503, got %v", err)
-	}
-	if got := calls.Load(); got != 3 { // 1 try + 2 retries
-		t.Fatalf("made %d calls, want 3", got)
+	// A 503 retries on every method, and the bound holds on each.
+	for _, call := range []struct {
+		name string
+		do   func() error
+	}{
+		{"POST checkpoint", func() error { return c.Checkpoint(context.Background()) }},
+		{"GET doc", func() error { _, _, err := c.Get(context.Background(), 1); return err }},
+	} {
+		calls.Store(0)
+		err := call.do()
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: want surfaced 503, got %v", call.name, err)
+		}
+		if got := calls.Load(); got != 3 { // 1 try + 2 retries
+			t.Fatalf("%s: made %d calls, want 3", call.name, got)
+		}
 	}
 }
 
@@ -67,7 +77,7 @@ func TestClientDoesNotRetryRealErrors(t *testing.T) {
 	defer ts.Close()
 
 	c, _ := New(ts.URL, WithBackoff(time.Millisecond))
-	_, err := c.Insert(context.Background(), Doc{"a": int64(1)})
+	err := c.Checkpoint(context.Background())
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("want 400 surfaced, got %v", err)
@@ -85,9 +95,9 @@ func TestClientRetriesConnectionRefused(t *testing.T) {
 
 	c, _ := New(url, WithRetries(2), WithBackoff(time.Millisecond))
 	start := time.Now()
-	_, err := c.Insert(context.Background(), Doc{"a": int64(1)})
+	err := c.Checkpoint(context.Background())
 	if err == nil {
-		t.Fatal("insert against dead server succeeded")
+		t.Fatal("checkpoint against dead server succeeded")
 	}
 	// 1 try + 2 retries with 1ms/2ms backoff: the retry loop must have
 	// actually waited.

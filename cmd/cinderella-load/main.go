@@ -14,15 +14,17 @@
 //
 // With -target the data set is driven through a running cinderellad
 // instead of an embedded table: -clients concurrent workers insert over
-// HTTP (each 2xx ack means the write is fsynced server-side), then the
-// probe queries run through GET /v1/query-report and the partition
-// listing comes from the server. -readers N adds N concurrent query
-// workers that hammer GET /v1/query for the whole duration of the
-// insert phase — the mixed read/write workload the lock-free snapshot
-// path is built for — and reports read throughput next to the insert
-// numbers. Local-only flags (-w, -b, -strategy, -obs, -hold) are
-// rejected in this mode: the server owns partitioning. This is a load
-// CLI, not a benchmark: measured numbers come from bash bench/run.sh.
+// the binary protocol, one connection each, at the address the
+// daemon's /v1/health reports (each ack means the write is fsynced
+// server-side); then the probe queries run through GET
+// /v1/query-report and the partition listing comes from the server.
+// -readers N adds N concurrent query workers that hammer GET /v1/query
+// over HTTP for the whole duration of the insert phase — the mixed
+// read/write workload the lock-free snapshot path is built for — and
+// reports read throughput next to the insert numbers. Local-only flags
+// (-w, -b, -strategy, -obs, -hold) are rejected in this mode: the
+// server owns partitioning. This is a load CLI, not a benchmark:
+// measured numbers come from bash bench/run.sh.
 //
 // With -obs the process serves the live ops endpoint (Prometheus
 // /metrics, /debug/vars, /debug/pprof) while loading and probing; -hold
@@ -38,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"net/url"
 	"os"
 	"sync"
@@ -328,7 +331,20 @@ func runTarget(base string, ds *datagen.Dataset, workers, readers int, trace boo
 	if err != nil {
 		return fmt.Errorf("probing %s: %w", base, err)
 	}
-	fmt.Printf("target %s: status=%s docs=%d durable_lsn=%d\n", base, h.Status, h.Docs, h.DurableLSN)
+	// Writes go to the port of the daemon's bound binary address, on the
+	// target's host: a daemon on all interfaces reports "[::]:8264".
+	_, port, err := net.SplitHostPort(h.BinAddr)
+	if err != nil {
+		return fmt.Errorf("%s/v1/health reports bin_addr %q: %w", base, h.BinAddr, err)
+	}
+	u, _ := url.Parse(base) // validated in main
+	binAddr := net.JoinHostPort(u.Hostname(), port)
+	fmt.Printf("target %s: status=%s docs=%d durable_lsn=%d binary=%s\n", base, h.Status, h.Docs, h.DurableLSN, binAddr)
+	bc, err := client.NewBinary(binAddr, client.WithConns(workers))
+	if err != nil {
+		return err
+	}
+	defer bc.Close()
 
 	docs := make([]client.Doc, len(ds.Entities))
 	for i, e := range ds.Entities {
@@ -366,7 +382,7 @@ func runTarget(base string, ds *datagen.Dataset, workers, readers int, trace boo
 				if i >= len(docs) {
 					return
 				}
-				if _, err := c.Insert(ctx, docs[i]); err != nil {
+				if _, err := bc.Insert(ctx, docs[i]); err != nil {
 					failed.Add(1)
 					firstErr.CompareAndSwap(nil, err)
 					continue

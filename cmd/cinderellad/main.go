@@ -1,15 +1,18 @@
-// Command cinderellad serves a durable Cinderella-partitioned table over
-// HTTP/JSON (see internal/server for the wire format and the client
-// package for a typed caller). Writes are group-committed: many
-// concurrent inserts share one WAL fsync, and a 2xx answer means the
-// operation is on disk.
+// Command cinderellad serves a durable Cinderella-partitioned table.
+// Writes — insert, update, delete, batches — go over the length-prefixed
+// binary protocol (package internal/wire) on -bin-addr; reads, admin
+// operations (compact, checkpoint), health and the ops endpoints go over
+// HTTP/JSON on -addr (see internal/server for the format and the client
+// package for typed callers). Writes are group-committed: many
+// concurrent writes share one WAL fsync, and an OK answer means the
+// operation is on disk. /v1/health reports the bound binary address.
 //
 // Usage:
 //
 //	cinderellad [-wal DIR] [-addr :8263] [-w W] [-b B] [-shards N]
 //	            [-bin-addr :8264] [-bin-addr-file PATH]
 //	            [-strategy cinderella|universal|hash|roundrobin|schemaexact]
-//	            [-inflight N] [-read-inflight N] [-queue N]
+//	            [-inflight N]
 //	            [-commit-delay D] [-commit-max N]
 //	            [-addr-file PATH] [-checkpoint-on-exit=false]
 //	            [-slow-query D] [-trace-sample N]
@@ -41,10 +44,7 @@
 // and the compressed images live next to each shard's WAL) and survive
 // restart.
 //
-// -bin-addr additionally serves the length-prefixed binary protocol
-// (package internal/wire) on its own port. Both protocols share one
-// store and one group committer, so a binary batch and an HTTP insert
-// can ride the same fsync. -bin-addr-file mirrors -addr-file.
+// -bin-addr-file mirrors -addr-file for the binary listener.
 //
 // The store is always internal/shard's: -wal names a directory holding
 // manifest.json and one shard-<i>/shard.wal per shard, created on first
@@ -54,13 +54,16 @@
 // The wire format does not depend on N. A plain single-file WAL (the
 // library's DurableTable log) is refused, not imported.
 //
-// On SIGTERM or SIGINT the daemon drains gracefully: it stops admitting
-// writes (503 + Retry-After), finishes the in-flight ones, flushes the
-// group-commit pipeline, checkpoints the WAL, and exits 0. Read routes
-// run behind their own -read-inflight bound, outside the write
-// admission queue, and keep being served for as long as the listener
-// is up — a drain never turns queries away. A second signal aborts
-// immediately.
+// -inflight bounds the HTTP requests executing at once; past it a
+// request gets 503 + Retry-After.
+//
+// On SIGTERM or SIGINT the daemon drains gracefully: it stops taking
+// writes (binary batches get a retryable status, HTTP compact and
+// checkpoint get 503 + Retry-After), finishes the in-flight ones,
+// flushes the group-commit pipeline, checkpoints the WAL, and exits 0.
+// Reads keep being served on both protocols for as long as the
+// listeners are up — a drain never turns queries away. A second signal
+// aborts immediately.
 //
 // -addr-file writes the actually bound address (useful with -addr
 // 127.0.0.1:0) to a file so scripts can find the server.
@@ -97,16 +100,14 @@ var strategies = map[string]cinderella.Strategy{
 func main() {
 	addr := flag.String("addr", ":8263", "listen address (use 127.0.0.1:0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
-	binAddr := flag.String("bin-addr", "", "binary wire protocol listen address (empty = HTTP only)")
+	binAddr := flag.String("bin-addr", ":8264", "binary wire protocol listen address, which takes every write")
 	binAddrFile := flag.String("bin-addr-file", "", "write the bound binary address to this file once listening")
 	walPath := flag.String("wal", "cinderella-data", "data directory: manifest.json plus one shard-<i>/shard.wal per shard")
 	shards := flag.Int("shards", 1, "number of independent shards, each with its own partitioner and WAL (fixed when the directory is created)")
 	w := flag.Float64("w", 0.5, "Cinderella weight w ∈ [0,1]")
 	b := flag.Int64("b", 5000, "partition size limit B (records)")
 	strategy := flag.String("strategy", "cinderella", "partitioning strategy")
-	inflight := flag.Int("inflight", 0, "max concurrently served requests (0 = default)")
-	readInflight := flag.Int("read-inflight", 0, "max concurrently served read requests (0 = default: match -inflight)")
-	queue := flag.Int("queue", 0, "admission queue depth beyond -inflight (0 = default)")
+	inflight := flag.Int("inflight", 0, "max concurrently served HTTP requests (0 = default)")
 	commitDelay := flag.Duration("commit-delay", 0, "group-commit window (0 = default)")
 	commitMax := flag.Int("commit-max", 0, "max ops per group commit (0 = default)")
 	reqTimeout := flag.Duration("timeout", 0, "per-request server-side timeout (0 = default)")
@@ -142,8 +143,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cinderellad: -b must be positive, got %d\n", *b)
 		os.Exit(2)
 	}
-	if *inflight < 0 || *readInflight < 0 || *queue < 0 || *commitMax < 0 {
-		fmt.Fprintln(os.Stderr, "cinderellad: -inflight, -read-inflight, -queue, and -commit-max must be non-negative")
+	if *inflight < 0 || *commitMax < 0 {
+		fmt.Fprintln(os.Stderr, "cinderellad: -inflight and -commit-max must be non-negative")
 		os.Exit(2)
 	}
 	if *shards < 1 {
@@ -236,14 +237,20 @@ func main() {
 		fmt.Printf("cinderellad: reclusterer on (interval %v)\n", mgr.Status().Interval)
 	}
 
-	srv := server.New(d, server.Config{
-		MaxInflight:     *inflight,
-		MaxReadInflight: *readInflight,
-		MaxQueue:        *queue,
-		RequestTimeout:  *reqTimeout,
-		CommitDelay:     *commitDelay,
-		CommitMaxOps:    *commitMax,
-		Obs:             reg,
+	// The binary listener takes every write; bind it first so health
+	// can report its address.
+	bln, err := net.Listen("tcp", *binAddr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cinderellad: listen %s: %v\n", *binAddr, err)
+		os.Exit(1)
+	}
+	binBound := bln.Addr().String()
+	srv := server.New(d, binBound, server.Config{
+		MaxInflight:    *inflight,
+		RequestTimeout: *reqTimeout,
+		CommitDelay:    *commitDelay,
+		CommitMaxOps:   *commitMax,
+		Obs:            reg,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -264,37 +271,28 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	// Binary wire protocol listener: same store, same group committer —
-	// a binary batch and an HTTP insert can share one fsync.
-	var wsrv *wire.Server
-	if *binAddr != "" {
-		wsrv = wire.New(d, srv.Committer(), wire.Config{Obs: reg})
-		bln, err := net.Listen("tcp", *binAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cinderellad: listen %s: %v\n", *binAddr, err)
+	// Binary wire protocol: same store, and the server's group committer,
+	// so writes across connections (and compactions) share fsyncs.
+	wsrv := wire.New(d, srv.Committer(), wire.Config{Obs: reg})
+	fmt.Printf("cinderellad: binary protocol on %s\n", binBound)
+	if *binAddrFile != "" {
+		if err := os.WriteFile(*binAddrFile, []byte(binBound+"\n"), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "cinderellad: writing -bin-addr-file: %v\n", err)
 			os.Exit(1)
 		}
-		binBound := bln.Addr().String()
-		fmt.Printf("cinderellad: binary protocol on %s\n", binBound)
-		if *binAddrFile != "" {
-			if err := os.WriteFile(*binAddrFile, []byte(binBound+"\n"), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "cinderellad: writing -bin-addr-file: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		go func() {
-			if err := wsrv.Serve(bln); err != nil {
-				serveErr <- err
-			}
-		}()
 	}
+	go func() {
+		if err := wsrv.Serve(bln); err != nil {
+			serveErr <- err
+		}
+	}()
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 
 	select {
 	case sig := <-sigc:
-		fmt.Printf("cinderellad: %v — draining (in-flight finish, new requests get 503)\n", sig)
+		fmt.Printf("cinderellad: %v — draining (in-flight finish, new writes are refused)\n", sig)
 	case err := <-serveErr:
 		fmt.Fprintf(os.Stderr, "cinderellad: serve: %v\n", err)
 		os.Exit(1)
@@ -315,9 +313,7 @@ func main() {
 		tmgr.Close()
 	}
 	srv.BeginDrain()
-	if wsrv != nil {
-		wsrv.BeginDrain() // binary writes now get StatusRetry; reads keep working
-	}
+	wsrv.BeginDrain() // binary writes now get StatusRetry; reads keep working
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	go func() {
 		<-sigc
@@ -326,12 +322,10 @@ func main() {
 	if err := hs.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "cinderellad: shutdown: %v\n", err)
 	}
-	if wsrv != nil {
-		// The committer is still running, so in-flight binary batches get
-		// their durability acks before the connections close.
-		if err := wsrv.Shutdown(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "cinderellad: wire shutdown: %v\n", err)
-		}
+	// The committer is still running, so in-flight binary batches get
+	// their durability acks before the connections close.
+	if err := wsrv.Shutdown(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "cinderellad: wire shutdown: %v\n", err)
 	}
 	cancel()
 

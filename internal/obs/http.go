@@ -196,7 +196,6 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 	}
 	gauge("cinderella_partitions", "Current partition count.", float64(r.Partitions()))
 	gauge("cinderella_server_inflight", "HTTP API requests currently executing.", float64(r.ServerInflight()))
-	gauge("cinderella_server_queued", "HTTP API requests waiting in the admission queue.", float64(r.ServerQueued()))
 	gauge("cinderella_wire_connections", "Open binary wire protocol connections.", float64(r.WireConns()))
 	gauge("cinderella_snapshot_epoch", "Snapshot-publication epoch of the lock-free read path.", float64(r.SnapshotEpoch()))
 	gauge("cinderella_efficiency",

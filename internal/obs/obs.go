@@ -182,7 +182,7 @@ var counterHelp = [numCounters]string{
 	CWALAppendBytes:    "Payload bytes appended to the write-ahead log.",
 	CWALSyncs:          "Write-ahead-log fsyncs.",
 	CSrvRequests:       "HTTP API requests admitted and served.",
-	CSrvRejected:       "HTTP API requests rejected with 503 (admission queue full or draining).",
+	CSrvRejected:       "HTTP API requests rejected with 503 (inflight bound reached, or an admin write during drain).",
 	CSrvErrors:         "HTTP API requests answered with a 4xx/5xx error status.",
 	CGroupCommits:      "Group-commit batches flushed (one WAL fsync each, at most).",
 	CGroupCommitOps:    "Acknowledged operations covered by group-commit batches.",
@@ -256,10 +256,9 @@ type state struct {
 	shardMu sync.Mutex
 	shards  []*shardSlot
 
-	// Server gauges, maintained by internal/server: requests currently
-	// executing, and requests waiting in the bounded admission queue.
+	// Server gauge, maintained by internal/server: requests currently
+	// executing.
 	srvInflight atomic.Int64
-	srvQueued   atomic.Int64
 
 	// snapEpoch is the table's snapshot-publication epoch: how many times
 	// a mutation republished partition snapshots for lock-free readers.
@@ -541,23 +540,6 @@ func (r *Registry) ServerInflight() int64 {
 	return r.srvInflight.Load()
 }
 
-// AddServerQueued adjusts the admission-queue-depth gauge by delta.
-// Nil-safe.
-func (r *Registry) AddServerQueued(delta int64) {
-	if r == nil {
-		return
-	}
-	r.srvQueued.Add(delta)
-}
-
-// ServerQueued returns the number of requests waiting for admission.
-func (r *Registry) ServerQueued() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.srvQueued.Load()
-}
-
 // SetSnapshotEpoch updates the snapshot-publication-epoch gauge (the
 // table layer calls it after publishing new partition snapshots).
 // Nil-safe.
@@ -717,7 +699,6 @@ type Snapshot struct {
 	Counters         map[string]int64             `json:"counters"`
 	Partitions       int64                        `json:"partitions"`
 	ServerInflight   int64                        `json:"server_inflight"`
-	ServerQueued     int64                        `json:"server_queued"`
 	WireConns        int64                        `json:"wire_connections"`
 	SnapshotEpoch    int64                        `json:"snapshot_epoch"`
 	Efficiency       float64                      `json:"efficiency"`
@@ -766,7 +747,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:        make(map[string]int64, int(numCounters)),
 		Partitions:      r.Partitions(),
 		ServerInflight:  r.ServerInflight(),
-		ServerQueued:    r.ServerQueued(),
 		WireConns:       r.WireConns(),
 		SnapshotEpoch:   r.SnapshotEpoch(),
 		Efficiency:      r.Efficiency(),

@@ -1,42 +1,30 @@
-// Package server is cinderellad's network service layer: the sharded
-// store's API (internal/shard) over HTTP/JSON with group-commit writes,
-// bounded admission, and graceful drain.
+// Package server is cinderellad's HTTP/JSON service layer over the
+// sharded store (internal/shard): reads, admin operations, health, and
+// the ops endpoints. Writes — insert, update, delete, batches — go over
+// the binary protocol only (internal/wire), which shares this server's
+// group committer; /v1/health reports the binary listener's address.
 //
 // Wire format (all bodies JSON, all errors {"error": "..."}):
 //
-//	POST /v1/insert      {"doc":{...}}            → {"id":N}
-//	POST /v1/bulk        {"ops":[...]}            → {"results":[...]}
 //	GET  /v1/doc?id=N                             → {"id":N,"doc":{...}}
-//	POST /v1/update      {"id":N,"doc":{...}}     → {"updated":bool}
-//	POST /v1/delete      {"id":N}                 → {"deleted":bool}
 //	GET  /v1/query?attrs=a,b                      → {"records":[{"id":N,"doc":{...}},...]}
 //	GET  /v1/query-report?attrs=a,b               → {"records":[...],"report":{...}}
 //	GET  /v1/partitions                           → {"partitions":[...]}
 //	POST /v1/compact     {"threshold":F}          → {"merged":N}
 //	POST /v1/checkpoint  {}                       → {"checkpointed":true}
-//	GET  /v1/health                               → {"status":"ok"|"draining",...}
+//	GET  /v1/health                               → {"status":"ok"|"draining","bin_addr":"host:port",...}
 //
-// Document values are int64, float64, or string; JSON booleans coerce
-// to int 0/1 (matching ImportJSONL), nested objects/arrays are
-// rejected. Integral JSON numbers round-trip as int64.
+// Ack contract: a 2xx on /v1/compact means the merges were applied AND
+// their WAL records are fsynced, acknowledged by the group committer
+// (see commit.go) that also acks the binary protocol's writes.
 //
-// Ack contract: a 2xx on a mutating route means the operation was
-// applied AND its WAL record is fsynced. Handlers append concurrently
-// but durability is acknowledged by the group committer (see
-// commit.go), which coalesces many operations per fsync.
-//
-// Backpressure: at most MaxInflight requests execute at once; up to
-// MaxQueue more wait. Beyond that — or once draining — requests get
-// 503 with a Retry-After header, and the client package backs off and
-// retries.
-//
-// Read/write separation: the read-only routes (/v1/doc, /v1/query,
-// /v1/query-report, /v1/partitions) run behind their own MaxReadInflight
-// semaphore, never enter the admission queue, and keep being served
-// while the server drains — the store's lock-free snapshot reads cannot
-// stall or be stalled by the write path, so rejecting or queueing them
-// behind writes would only add latency. Reads stop when the listener
-// stops.
+// Backpressure: at most MaxInflight requests execute at once; past
+// that a request gets 503 with a Retry-After header, and the client
+// package backs off and retries. A drain refuses the admin writes
+// (compact, checkpoint) the same way but never the reads: the store's
+// lock-free snapshot reads are independent of the write path, so a
+// draining node keeps answering them until its listener stops.
+// /v1/health bypasses the bound so probes always see the server.
 package server
 
 import (
@@ -57,19 +45,10 @@ import (
 
 // Config parameterizes a Server. The zero value picks sane defaults.
 type Config struct {
-	// MaxInflight bounds concurrently executing mutating requests.
-	// Default 128.
+	// MaxInflight bounds concurrently executing requests. Default 128.
 	MaxInflight int
-	// MaxReadInflight bounds concurrently executing read-only requests
-	// (doc fetches, queries, partition listings), which bypass the
-	// admission queue and drain rejection entirely. Default: MaxInflight.
-	MaxReadInflight int
-	// MaxQueue bounds requests waiting for an inflight slot; the
-	// admission queue. Requests beyond it are rejected with 503.
-	// Default 256.
-	MaxQueue int
-	// RequestTimeout bounds one request end to end: admission wait,
-	// body read, execution, and the group-commit ack. Default 10s.
+	// RequestTimeout bounds one request end to end: body read,
+	// execution, and a compaction's group-commit ack. Default 10s.
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds a request body. Default 1 MiB.
 	MaxBodyBytes int64
@@ -90,12 +69,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 128
 	}
-	if c.MaxReadInflight <= 0 {
-		c.MaxReadInflight = c.MaxInflight
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 256
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
@@ -108,44 +81,40 @@ func (c Config) withDefaults() Config {
 // Server serves a sharded store over HTTP. Create with New, expose with
 // Handler, shut down with BeginDrain + Finish (or Close).
 type Server struct {
-	d   *shard.Sharded
-	cfg Config
-	com *Committer
-	obs *obs.Registry
+	d       *shard.Sharded
+	cfg     Config
+	com     *Committer
+	obs     *obs.Registry
+	binAddr string // the binary listener's bound address, for /v1/health
 
-	sem      chan struct{} // write inflight slots
-	rsem     chan struct{} // read inflight slots (no queue, drain-immune)
-	queued   chan struct{} // admission queue slots
+	sem      chan struct{} // inflight slots
 	draining chan struct{} // closed by BeginDrain
 	mux      *http.ServeMux
 }
 
-// New builds a Server around d. The caller keeps ownership of d until
-// Finish, which closes it.
-func New(d *shard.Sharded, cfg Config) *Server {
+// New builds a Server around d. binAddr is the bound address of the
+// binary-protocol listener that takes this store's writes; /v1/health
+// reports it. The caller keeps ownership of d until Finish, which
+// closes it.
+func New(d *shard.Sharded, binAddr string, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		d:        d,
 		cfg:      cfg,
 		obs:      cfg.Obs,
+		binAddr:  binAddr,
 		sem:      make(chan struct{}, cfg.MaxInflight),
-		rsem:     make(chan struct{}, cfg.MaxReadInflight),
-		queued:   make(chan struct{}, cfg.MaxQueue),
 		draining: make(chan struct{}),
 		com:      NewCommitter(d, cfg.CommitMaxOps, cfg.CommitDelay, cfg.Obs),
 	}
 	s.mux = http.NewServeMux()
-	s.route("POST /v1/insert", s.handleInsert)
-	s.route("POST /v1/bulk", s.handleBulk)
-	s.routeRead("GET /v1/doc", s.handleGet)
-	s.route("POST /v1/update", s.handleUpdate)
-	s.route("POST /v1/delete", s.handleDelete)
-	s.routeRead("GET /v1/query", s.handleQuery)
-	s.routeRead("GET /v1/query-report", s.handleQueryReport)
-	s.routeRead("GET /v1/partitions", s.handlePartitions)
+	s.route("GET /v1/doc", s.handleGet)
+	s.route("GET /v1/query", s.handleQuery)
+	s.route("GET /v1/query-report", s.handleQueryReport)
+	s.route("GET /v1/partitions", s.handlePartitions)
 	s.route("POST /v1/compact", s.handleCompact)
 	s.route("POST /v1/checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("GET /v1/health", s.handleHealth) // never queued: probes must see a draining server
+	s.mux.HandleFunc("GET /v1/health", s.handleHealth) // outside the bound: probes must see a busy or draining server
 	if cfg.Obs != nil {
 		ops := cfg.Obs.Mux()
 		s.mux.Handle("/metrics", ops)
@@ -156,28 +125,38 @@ func New(d *shard.Sharded, cfg Config) *Server {
 			writeError(w, http.StatusNotFound, "no such endpoint")
 			return
 		}
-		fmt.Fprint(w, "cinderellad\n\n/v1/{insert,doc,update,delete,query,query-report,partitions,compact,checkpoint,health}\n/metrics\n/debug/{vars,pprof}\n")
+		fmt.Fprint(w, "cinderellad\n\n/v1/{doc,query,query-report,partitions,compact,checkpoint,health}\n/metrics\n/debug/{vars,pprof}\nwrites: binary protocol at /v1/health's bin_addr\n")
 	})
 	return s
 }
 
-// Handler returns the root handler: admission control wrapped around
-// the API routes.
+// Handler returns the root handler: the API routes behind the inflight
+// bound, plus health and the ops endpoints.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Committer returns the group committer acknowledging this server's
+// Committer returns the group committer acknowledging this store's
 // writes. The binary wire server shares it so one fsync covers a batch
-// of writes across both protocols.
+// of writes across connections, and compactions ride the same fsyncs.
 func (s *Server) Committer() *Committer { return s.com }
 
-// route registers an API handler behind admission control, the request
-// timeout, and telemetry.
+// route registers an API handler behind the inflight bound, the request
+// timeout, and telemetry. A POST route is an admin write, which a drain
+// refuses; GET routes are reads, which it never refuses.
 func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request) (int, error)) {
+	write := strings.HasPrefix(pattern, "POST ")
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		if !s.admit(w, r) {
+		if write && s.isDraining() {
+			s.reject(w, "draining")
 			return
 		}
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			s.reject(w, "inflight bound reached")
+			return
+		}
+		s.obs.AddServerInflight(1)
 		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
 		cw := &countingWriter{ResponseWriter: w}
 		defer func() {
@@ -203,94 +182,6 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 	})
 }
 
-// routeRead registers a read-only handler behind the read semaphore.
-// Reads never enter the admission queue — snapshot reads are
-// writer-independent, so queueing them behind writes would only add
-// latency — and are not rejected during drain: a draining node keeps
-// answering queries until its listener stops, so clients and operators
-// can read from it for the whole drain window. The semaphore still
-// bounds concurrent scans; past it, reads get the same 503 + Retry-After
-// as writes.
-func (s *Server) routeRead(pattern string, h func(http.ResponseWriter, *http.Request) (int, error)) {
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		select {
-		case s.rsem <- struct{}{}:
-		default:
-			s.reject(w, "read capacity exhausted")
-			return
-		}
-		s.obs.AddServerInflight(1)
-		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
-		cw := &countingWriter{ResponseWriter: w}
-		defer func() {
-			<-s.rsem
-			s.obs.AddServerInflight(-1)
-			s.obs.Add(obs.CBytesInHTTP, cr.n)
-			s.obs.Add(obs.CBytesOutHTTP, cw.n)
-			s.obs.ObserveServerNs(time.Since(start).Nanoseconds())
-		}()
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-		r.Body = cr
-		w = cw
-
-		code, err := h(w, r)
-		s.obs.Add(obs.CSrvRequests, 1)
-		if err != nil {
-			s.obs.Add(obs.CSrvErrors, 1)
-			writeError(w, code, err.Error())
-		}
-	})
-}
-
-// admit applies backpressure: grab an inflight slot immediately, or
-// wait in the bounded queue, or reject with 503 + Retry-After. A
-// closed draining channel rejects everything (health stays reachable —
-// it is registered outside route).
-func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
-	if s.isDraining() {
-		s.reject(w, "draining")
-		return false
-	}
-	select {
-	case s.sem <- struct{}{}:
-		s.obs.AddServerInflight(1)
-		return true
-	default:
-	}
-	// All inflight slots busy: take a queue slot or bounce.
-	select {
-	case s.queued <- struct{}{}:
-	default:
-		s.reject(w, "admission queue full")
-		return false
-	}
-	s.obs.AddServerQueued(1)
-	defer func() {
-		<-s.queued
-		s.obs.AddServerQueued(-1)
-	}()
-	t := time.NewTimer(s.cfg.RequestTimeout)
-	defer stopTimer(t)
-	select {
-	case s.sem <- struct{}{}:
-		s.obs.AddServerInflight(1)
-		return true
-	case <-s.draining:
-		s.reject(w, "draining")
-		return false
-	case <-r.Context().Done():
-		s.reject(w, "client gone")
-		return false
-	case <-t.C:
-		s.reject(w, "queued past request timeout")
-		return false
-	}
-}
-
 // reject answers 503 with a Retry-After hint and counts the rejection.
 func (s *Server) reject(w http.ResponseWriter, why string) {
 	s.obs.Add(obs.CSrvRejected, 1)
@@ -307,15 +198,9 @@ func (s *Server) isDraining() bool {
 	}
 }
 
-// ack waits for lsn to be durable under the request context — the
-// group-commit ack.
-func (s *Server) ack(r *http.Request, lsn uint64) error {
-	return s.com.Commit(r.Context(), lsn)
-}
-
-// BeginDrain flips the server into drain mode: every subsequent request
-// (including on kept-alive connections) is rejected with 503, and
-// queued requests are bounced. In-flight requests finish normally.
+// BeginDrain flips the server into drain mode: every subsequent admin
+// write (including on kept-alive connections) is rejected with 503,
+// reads keep being served, and in-flight requests finish normally.
 // Idempotent.
 func (s *Server) BeginDrain() {
 	select {
@@ -357,113 +242,6 @@ func (s *Server) Close() error {
 
 // ---- handlers ----
 
-type insertRequest struct {
-	Doc map[string]any `json:"doc"`
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) (int, error) {
-	var req insertRequest
-	if err := readJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
-	}
-	doc, err := toDoc(req.Doc)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	id, err := s.d.Insert(doc)
-	if err != nil {
-		return opErrStatus(err), err
-	}
-	if err := s.ack(r, s.d.LastLSN()); err != nil {
-		return http.StatusInternalServerError, fmt.Errorf("applied but not durable: %w", err)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id})
-	return 0, nil
-}
-
-// bulkOp is one operation in a /v1/bulk request. Op is "insert",
-// "update", or "delete"; insert needs doc, update needs id+doc, delete
-// needs id.
-type bulkOp struct {
-	Op  string         `json:"op"`
-	ID  uint64         `json:"id,omitempty"`
-	Doc map[string]any `json:"doc,omitempty"`
-}
-
-type bulkRequest struct {
-	Ops []bulkOp `json:"ops"`
-}
-
-// bulkResult is one operation's outcome. Mirrors the binary protocol's
-// partial-failure contract: ops apply in order, the first hard failure
-// carries Error, every later op is Unapplied (and only those may be
-// retried — the applied prefix is durable once the 200 arrives).
-type bulkResult struct {
-	ID        uint64 `json:"id,omitempty"`
-	Updated   *bool  `json:"updated,omitempty"`
-	Deleted   *bool  `json:"deleted,omitempty"`
-	Error     string `json:"error,omitempty"`
-	Unapplied bool   `json:"unapplied,omitempty"`
-}
-
-// handleBulk is the JSON fallback for clients that want batched writes
-// without the binary protocol: many ops per request, one group-commit
-// ack covering the applied prefix.
-func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) (int, error) {
-	var req bulkRequest
-	if err := readJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
-	}
-	if len(req.Ops) == 0 {
-		return http.StatusBadRequest, errors.New("empty ops list")
-	}
-	results := make([]bulkResult, len(req.Ops))
-	applied := 0
-	for i, op := range req.Ops {
-		var opErr error
-		switch op.Op {
-		case "insert":
-			var doc cinderella.Doc
-			if doc, opErr = toDoc(op.Doc); opErr == nil {
-				var id cinderella.ID
-				if id, opErr = s.d.Insert(doc); opErr == nil {
-					results[i].ID = uint64(id)
-				}
-			}
-		case "update":
-			var doc cinderella.Doc
-			if doc, opErr = toDoc(op.Doc); opErr == nil {
-				var ok bool
-				if ok, opErr = s.d.Update(cinderella.ID(op.ID), doc); opErr == nil {
-					results[i].Updated = &ok
-				}
-			}
-		case "delete":
-			var ok bool
-			if ok, opErr = s.d.Delete(cinderella.ID(op.ID)); opErr == nil {
-				results[i].Deleted = &ok
-			}
-		default:
-			opErr = fmt.Errorf("unknown op %q", op.Op)
-		}
-		if opErr != nil {
-			results[i].Error = opErr.Error()
-			for j := i + 1; j < len(results); j++ {
-				results[j].Unapplied = true
-			}
-			break
-		}
-		applied++
-	}
-	if applied > 0 {
-		if err := s.ack(r, s.d.LastLSN()); err != nil {
-			return http.StatusInternalServerError, fmt.Errorf("applied but not durable: %w", err)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": results})
-	return 0, nil
-}
-
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) (int, error) {
 	id, err := idParam(r)
 	if err != nil {
@@ -474,55 +252,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) (int, error) 
 		return http.StatusNotFound, fmt.Errorf("no document %d", id)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "doc": doc})
-	return 0, nil
-}
-
-type updateRequest struct {
-	ID  uint64         `json:"id"`
-	Doc map[string]any `json:"doc"`
-}
-
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) (int, error) {
-	var req updateRequest
-	if err := readJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
-	}
-	doc, err := toDoc(req.Doc)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	ok, err := s.d.Update(cinderella.ID(req.ID), doc)
-	if err != nil {
-		return opErrStatus(err), err
-	}
-	if ok {
-		if err := s.ack(r, s.d.LastLSN()); err != nil {
-			return http.StatusInternalServerError, fmt.Errorf("applied but not durable: %w", err)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"updated": ok})
-	return 0, nil
-}
-
-type deleteRequest struct {
-	ID uint64 `json:"id"`
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (int, error) {
-	var req deleteRequest
-	if err := readJSON(r, &req); err != nil {
-		return http.StatusBadRequest, err
-	}
-	ok, err := s.d.Delete(cinderella.ID(req.ID))
-	if err != nil {
-		return opErrStatus(err), err
-	}
-	if ok {
-		if err := s.ack(r, s.d.LastLSN()); err != nil {
-			return http.StatusInternalServerError, fmt.Errorf("applied but not durable: %w", err)
-		}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": ok})
 	return 0, nil
 }
 
@@ -604,7 +333,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) (int, err
 		return opErrStatus(err), err
 	}
 	if n > 0 {
-		if err := s.ack(r, s.d.LastLSN()); err != nil {
+		if err := s.com.Commit(r.Context(), s.d.LastLSN()); err != nil {
 			return http.StatusInternalServerError, fmt.Errorf("applied but not durable: %w", err)
 		}
 	}
@@ -627,6 +356,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":      status,
+		"bin_addr":    s.binAddr,
 		"docs":        s.d.Len(),
 		"durable_lsn": s.d.DurableLSN(),
 		"last_lsn":    s.d.LastLSN(),
@@ -643,11 +373,9 @@ func opErrStatus(err error) int {
 
 // ---- wire helpers ----
 
-// readJSON decodes one JSON body with number fidelity (integral JSON
-// numbers stay int64 via toDoc).
+// readJSON decodes one JSON body.
 func readJSON(r *http.Request, into any) error {
 	dec := json.NewDecoder(r.Body)
-	dec.UseNumber()
 	if err := dec.Decode(into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -660,41 +388,6 @@ func readJSON(r *http.Request, into any) error {
 		return errors.New("trailing data after JSON body")
 	}
 	return nil
-}
-
-// toDoc converts a decoded JSON object into a cinderella.Doc: int64 for
-// integral numbers, float64 otherwise, strings as-is, booleans as 0/1
-// (the ImportJSONL convention), nulls skipped. Nested objects or arrays
-// are rejected — universal tables are flat.
-func toDoc(obj map[string]any) (cinderella.Doc, error) {
-	doc := make(cinderella.Doc, len(obj))
-	for k, v := range obj {
-		switch x := v.(type) {
-		case json.Number:
-			if i, err := strconv.ParseInt(x.String(), 10, 64); err == nil {
-				doc[k] = i
-			} else {
-				f, err := x.Float64()
-				if err != nil {
-					return nil, fmt.Errorf("attribute %q: bad number %q", k, x.String())
-				}
-				doc[k] = f
-			}
-		case string:
-			doc[k] = x
-		case bool:
-			if x {
-				doc[k] = int64(1)
-			} else {
-				doc[k] = int64(0)
-			}
-		case nil:
-			// absent attribute
-		default:
-			return nil, fmt.Errorf("attribute %q: non-scalar value", k)
-		}
-	}
-	return doc, nil
 }
 
 // countingReader counts body bytes actually read — the per-protocol

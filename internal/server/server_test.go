@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,25 +19,33 @@ import (
 	"cinderella/client"
 	"cinderella/internal/obs"
 	"cinderella/internal/shard"
+	"cinderella/internal/wire"
 )
 
-// harness spins up a one-shard store + Server + HTTP listener + client.
+// harness spins up a one-shard store, a Server with its HTTP listener
+// and client, and a wire server sharing the Server's committer with its
+// binary client — the daemon's layout: writes over the binary protocol,
+// reads and admin over HTTP.
 type harness struct {
 	path string
 	d    *shard.Sharded
 	srv  *Server
 	ts   *httptest.Server
 	cl   *client.Client
+	ws   *wire.Server
+	bc   *client.Binary
 	reg  *obs.Registry
+
+	binAddr string
 }
 
-func newHarness(t *testing.T, cfg Config) *harness {
+func newHarness(t *testing.T, cfg Config, opts ...client.BinaryOption) *harness {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "srv")
-	return openHarness(t, path, cfg)
+	return openHarness(t, path, cfg, opts...)
 }
 
-func openHarness(t *testing.T, path string, cfg Config) *harness {
+func openHarness(t *testing.T, path string, cfg Config, opts ...client.BinaryOption) *harness {
 	t.Helper()
 	if cfg.Obs == nil {
 		cfg.Obs = obs.New(obs.Options{})
@@ -44,18 +54,46 @@ func openHarness(t *testing.T, path string, cfg Config) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(d, cfg)
+	bln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(d, bln.Addr().String(), cfg)
 	ts := httptest.NewServer(srv.Handler())
 	cl, err := client.New(ts.URL, client.WithTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &harness{path: path, d: d, srv: srv, ts: ts, cl: cl, reg: cfg.Obs}
+	ws := wire.New(d, srv.Committer(), wire.Config{Obs: cfg.Obs})
+	go ws.Serve(bln)
+	opts = append([]client.BinaryOption{
+		client.WithBinaryBackoff(time.Millisecond),
+		client.WithBinaryTimeout(5 * time.Second),
+	}, opts...)
+	bc, err := client.NewBinary(bln.Addr().String(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &harness{path: path, d: d, srv: srv, ts: ts, cl: cl, ws: ws, bc: bc, reg: cfg.Obs,
+		binAddr: bln.Addr().String()}
 	t.Cleanup(func() {
-		ts.Close()
+		h.stopListeners(t)
 		srv.Close()
 	})
 	return h
+}
+
+// stopListeners closes both clients and both listeners without touching
+// the store: what is left is exactly what the WAL holds. Idempotent.
+func (h *harness) stopListeners(t *testing.T) {
+	t.Helper()
+	h.bc.Close()
+	h.ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := h.ws.Shutdown(ctx); err != nil {
+		t.Errorf("wire shutdown: %v", err)
+	}
 }
 
 // openStore opens the daemon's store, one shard, rooted at dir.
@@ -67,10 +105,11 @@ func TestServerRoundTrip(t *testing.T) {
 	h := newHarness(t, Config{})
 	ctx := context.Background()
 
-	// Note 2.8, not 2.0: JSON cannot distinguish 2.0 from 2, so integral
-	// numbers deliberately round-trip as int64 (the documented wire
-	// contract).
-	id, err := h.cl.Insert(ctx, client.Doc{"name": "camera", "aperture": 2.8, "zoom": int64(5)})
+	// Writes go over the binary protocol, reads over HTTP. Note 2.8, not
+	// 2.0: JSON cannot distinguish 2.0 from 2, so integral numbers
+	// deliberately come back from HTTP reads as int64 (the documented
+	// wire contract).
+	id, err := h.bc.Insert(ctx, client.Doc{"name": "camera", "aperture": 2.8, "zoom": int64(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +125,14 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatalf("zoom lost integer fidelity: %T", doc["zoom"])
 	}
 
-	if ok, err := h.cl.Update(ctx, id, client.Doc{"name": "camera2", "wifi": int64(1)}); err != nil || !ok {
+	if ok, err := h.bc.Update(ctx, id, client.Doc{"name": "camera2", "wifi": int64(1)}); err != nil || !ok {
 		t.Fatalf("Update: ok=%v err=%v", ok, err)
 	}
-	if ok, _ := h.cl.Update(ctx, 99999, client.Doc{"x": int64(1)}); ok {
+	if ok, _ := h.bc.Update(ctx, 99999, client.Doc{"x": int64(1)}); ok {
 		t.Fatal("Update of unknown id reported true")
 	}
 
-	id2, err := h.cl.Insert(ctx, client.Doc{"name": "disk", "rpm": int64(7200)})
+	id2, err := h.bc.Insert(ctx, client.Doc{"name": "disk", "rpm": int64(7200)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +158,19 @@ func TestServerRoundTrip(t *testing.T) {
 	if err := h.cl.Checkpoint(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := h.cl.Delete(ctx, id); err != nil || !ok {
+	if ok, err := h.bc.Delete(ctx, id); err != nil || !ok {
 		t.Fatalf("Delete: ok=%v err=%v", ok, err)
 	}
 	if _, ok, _ := h.cl.Get(ctx, id); ok {
 		t.Fatal("deleted doc still readable")
 	}
 	hl, err := h.cl.Health(ctx)
-	if err != nil || hl.Status != "ok" || hl.Docs != 1 {
+	if err != nil || hl.Status != "ok" || hl.Docs != 1 || hl.BinAddr != h.binAddr {
 		t.Fatalf("Health: %+v err=%v", hl, err)
 	}
 
 	// Everything acked must be recoverable after a clean drain.
-	h.ts.Close()
+	h.stopListeners(t)
 	if err := h.srv.Finish(true); err != nil {
 		t.Fatal(err)
 	}
@@ -154,16 +193,21 @@ func TestServerBadRequests(t *testing.T) {
 		method, path, body string
 		want               int
 	}{
-		{"POST", "/v1/insert", `{"doc":{"nested":{"x":1}}}`, 400},
-		{"POST", "/v1/insert", `not json`, 400},
 		{"GET", "/v1/doc?id=notanumber", "", 400},
 		{"GET", "/v1/doc", "", 400},
 		{"GET", "/v1/doc?id=424242", "", 404},
 		{"GET", "/v1/query", "", 400},
 		{"POST", "/v1/compact", `{"threshold":7}`, 400},
+		{"POST", "/v1/compact", `not json`, 400},
 		{"GET", "/v1/nope", "", 404},
+		// Writes go over the binary protocol only: the HTTP write
+		// routes are gone.
+		{"POST", "/v1/insert", `{"doc":{"a":1}}`, 404},
+		{"POST", "/v1/bulk", `{"ops":[{"op":"insert","doc":{"a":1}}]}`, 404},
+		{"POST", "/v1/update", `{"id":1,"doc":{"a":1}}`, 404},
+		{"POST", "/v1/delete", `{"id":1}`, 404},
 		// Wrong method falls through to the catch-all, which 404s.
-		{"DELETE", "/v1/insert", "", 404},
+		{"DELETE", "/v1/compact", "", 404},
 	} {
 		var body *strings.Reader = strings.NewReader(tc.body)
 		req, _ := http.NewRequest(tc.method, h.ts.URL+tc.path, body)
@@ -176,9 +220,12 @@ func TestServerBadRequests(t *testing.T) {
 			t.Errorf("%s %s: got %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
 	}
+	if h.d.Len() != 0 {
+		t.Fatalf("bad requests left %d docs in the store", h.d.Len())
+	}
 	// Oversized body → 400, not applied.
-	big := `{"doc":{"s":"` + strings.Repeat("x", 2<<20) + `"}}`
-	resp, err := http.Post(h.ts.URL+"/v1/insert", "application/json", strings.NewReader(big))
+	big := `{"threshold":0.5,"pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err := http.Post(h.ts.URL+"/v1/compact", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,19 +236,23 @@ func TestServerBadRequests(t *testing.T) {
 }
 
 // TestServerGroupCommitCoalesces proves the headline property: many
-// concurrent acknowledged writes, far fewer fsyncs.
+// concurrent acknowledged writes, far fewer fsyncs. The binary client
+// sends one op per frame over one connection per worker, so every
+// insert is its own commit waiter and the coalescing is the group
+// committer's, across connections.
 func TestServerGroupCommitCoalesces(t *testing.T) {
-	h := newHarness(t, Config{CommitDelay: 2 * time.Millisecond})
+	const workers, perWorker = 32, 8
+	h := newHarness(t, Config{CommitDelay: 2 * time.Millisecond},
+		client.WithConns(workers), client.WithBatch(1, 0, 0))
 	ctx := context.Background()
 
-	const workers, perWorker = 32, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				if _, err := h.cl.Insert(ctx, client.Doc{"w": int64(w), "i": int64(i)}); err != nil {
+				if _, err := h.bc.Insert(ctx, client.Doc{"w": int64(w), "i": int64(i)}); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
@@ -229,48 +280,67 @@ func TestServerGroupCommitCoalesces(t *testing.T) {
 		total, syncs, commits, float64(ops)/float64(commits))
 }
 
-// TestServerBackpressure drives the admission queue to saturation and
-// expects 503 + Retry-After, while /v1/health stays reachable.
+// TestServerBackpressure saturates the inflight bound and expects 503 +
+// Retry-After for reads and admin writes alike, while /v1/health stays
+// reachable.
 func TestServerBackpressure(t *testing.T) {
-	h := newHarness(t, Config{
-		MaxInflight: 1,
-		MaxQueue:    1,
-		CommitDelay: 300 * time.Millisecond, // hold the one slot long enough to saturate
-	})
+	h := newHarness(t, Config{MaxInflight: 1})
 	ctx := context.Background()
 
-	insert := func() *http.Response {
-		resp, err := http.Post(h.ts.URL+"/v1/insert", "application/json",
-			strings.NewReader(`{"doc":{"a":1}}`))
+	// A compaction whose body has not arrived yet holds the one slot:
+	// the route admits it before the handler reads the body.
+	pr, pw := io.Pipe()
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(h.ts.URL+"/v1/compact", "application/json", pr)
 		if err != nil {
-			t.Fatalf("post: %v", err)
+			t.Errorf("held post: %v", err)
+			held <- 0
+			return
 		}
-		return resp
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	for deadline := time.Now().Add(5 * time.Second); h.reg.ServerInflight() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("held compaction never took the inflight slot")
+		}
 	}
 
-	done := make(chan struct{}, 2)
-	go func() { insert().Body.Close(); done <- struct{}{} }() // occupies the inflight slot
-	time.Sleep(50 * time.Millisecond)
-	go func() { insert().Body.Close(); done <- struct{}{} }() // waits in the queue
-	time.Sleep(50 * time.Millisecond)
-
-	resp := insert() // inflight full + queue full → bounced
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("saturated server answered %d, want 503", resp.StatusCode)
+	for _, req := range []struct{ method, path string }{
+		{"GET", "/v1/query?attrs=a"},
+		{"POST", "/v1/checkpoint"},
+	} {
+		r, _ := http.NewRequest(req.method, h.ts.URL+req.path, strings.NewReader("{}"))
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s %s on a saturated server answered %d, want 503", req.method, req.path, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s %s: 503 without Retry-After", req.method, req.path)
+		}
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
+	if got := h.reg.Counter(obs.CSrvRejected); got != 2 {
+		t.Fatalf("%d rejections counted, want 2", got)
 	}
-	if h.reg.Counter(obs.CSrvRejected) == 0 {
-		t.Fatal("rejection not counted")
-	}
-	// Health bypasses admission.
+	// Health bypasses the bound.
 	if hl, err := h.cl.Health(ctx); err != nil || hl.Status != "ok" {
 		t.Fatalf("health under load: %+v err=%v", hl, err)
 	}
-	<-done
-	<-done
+
+	// Releasing the held request frees the slot.
+	io.WriteString(pw, `{"threshold":0.5}`)
+	pw.Close()
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held compaction answered %d, want 200", code)
+	}
+	if _, err := h.cl.Query(ctx, "a"); err != nil {
+		t.Fatalf("query after release: %v", err)
+	}
 }
 
 // TestServerDrainLosesNothing is the graceful-drain contract under
@@ -292,7 +362,7 @@ func TestServerDrainLosesNothing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				payload := int64(w*1_000_000 + i)
-				id, err := h.cl.Insert(ctx, client.Doc{"p": payload})
+				id, err := h.bc.Insert(ctx, client.Doc{"p": payload})
 				if err != nil {
 					return // drain reached this worker
 				}
@@ -304,9 +374,12 @@ func TestServerDrainLosesNothing(t *testing.T) {
 	}
 
 	time.Sleep(60 * time.Millisecond) // let the burst build
+	// The daemon's drain order: both servers refuse new writes, in-flight
+	// ones finish and are acked, then the store is flushed and closed.
 	h.srv.BeginDrain()
+	h.ws.BeginDrain()
 	wg.Wait()
-	h.ts.Close()
+	h.stopListeners(t)
 	if err := h.srv.Finish(true); err != nil {
 		t.Fatalf("Finish: %v", err)
 	}
@@ -344,15 +417,8 @@ func TestServerDrainLosesNothing(t *testing.T) {
 // acknowledged operation must survive; the torn tail must not corrupt
 // replay.
 func TestServerCrashRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash")
-	reg := obs.New(obs.Options{})
-	d, err := openStore(path, cinderella.Config{PartitionSizeLimit: 64, Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(d, Config{CommitDelay: time.Millisecond, Obs: reg})
-	ts := httptest.NewServer(srv.Handler())
-	cl, _ := client.New(ts.URL)
+	h := newHarness(t, Config{CommitDelay: time.Millisecond})
+	path := h.path
 	ctx := context.Background()
 
 	const workers, perWorker = 8, 25
@@ -365,7 +431,7 @@ func TestServerCrashRecovery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				payload := int64(w*1_000_000 + i)
-				id, err := cl.Insert(ctx, client.Doc{"p": payload})
+				id, err := h.bc.Insert(ctx, client.Doc{"p": payload})
 				if err != nil {
 					return
 				}
@@ -378,7 +444,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	wg.Wait()
 	// CRASH: no drain, no sync, no close. In-flight batches have been
 	// acked (and therefore fsynced); nothing else is guaranteed.
-	ts.Close()
+	h.stopListeners(t)
 
 	// A torn partial record at the tail — the crash cut a write short.
 	f, err := os.OpenFile(filepath.Join(path, "shard-0", "shard.wal"), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -474,29 +540,31 @@ func TestCommitterCommitRespectsContext(t *testing.T) {
 }
 
 // TestServerReadsServedDuringDrain covers the read/write separation: a
-// draining server rejects writes with 503 but keeps serving the
+// draining server rejects admin writes with 503 but keeps serving the
 // read-only routes until the listener stops, because snapshot reads are
 // independent of the (draining) write path.
 func TestServerReadsServedDuringDrain(t *testing.T) {
 	h := newHarness(t, Config{})
 	ctx := context.Background()
 
-	id, err := h.cl.Insert(ctx, client.Doc{"name": "camera", "aperture": 2.8})
+	id, err := h.bc.Insert(ctx, client.Doc{"name": "camera", "aperture": 2.8})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	h.srv.BeginDrain()
 
-	// Writes must bounce. Raw HTTP: the client package would retry 503s.
-	resp, err := http.Post(h.ts.URL+"/v1/insert", "application/json",
-		strings.NewReader(`{"doc":{"name":"late"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("mid-drain insert: got %d, want 503", resp.StatusCode)
+	// Admin writes must bounce. Raw HTTP: the client package would retry
+	// 503s.
+	for _, path := range []string{"/v1/compact", "/v1/checkpoint"} {
+		resp, err := http.Post(h.ts.URL+path, "application/json", strings.NewReader(`{"threshold":0.5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("mid-drain POST %s: got %d, want 503", path, resp.StatusCode)
+		}
 	}
 
 	// Reads must keep working, via every read-only route.
@@ -520,81 +588,5 @@ func TestServerReadsServedDuringDrain(t *testing.T) {
 	recs, err := h.cl.Query(ctx, "aperture")
 	if err != nil || len(recs) != 1 || recs[0].ID != id {
 		t.Fatalf("mid-drain Query: %v err=%v", recs, err)
-	}
-}
-
-func TestServerBulk(t *testing.T) {
-	h := newHarness(t, Config{})
-	ctx := context.Background()
-
-	// Happy path: inserts, then an update and a delete of the new docs.
-	results, err := h.cl.Bulk(ctx, []client.BulkOp{
-		{Op: "insert", Doc: client.Doc{"name": "a", "v": int64(1)}},
-		{Op: "insert", Doc: client.Doc{"name": "b", "v": int64(2)}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].ID == 0 || results[1].ID == 0 {
-		t.Fatalf("insert results: %+v", results)
-	}
-	idA, idB := results[0].ID, results[1].ID
-
-	results, err = h.cl.Bulk(ctx, []client.BulkOp{
-		{Op: "update", ID: idA, Doc: client.Doc{"name": "a2"}},
-		{Op: "delete", ID: idB},
-		{Op: "delete", ID: 99999}, // miss, not an error
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Updated == nil || !*results[0].Updated {
-		t.Fatalf("update result: %+v", results[0])
-	}
-	if results[1].Deleted == nil || !*results[1].Deleted {
-		t.Fatalf("delete result: %+v", results[1])
-	}
-	if results[2].Deleted == nil || *results[2].Deleted {
-		t.Fatalf("delete-miss result: %+v", results[2])
-	}
-	if h.d.DurableLSN() < h.d.LastLSN() {
-		t.Fatalf("bulk ack before durability: %d < %d", h.d.DurableLSN(), h.d.LastLSN())
-	}
-
-	// Partial failure: a bad op mid-list stops the batch. The applied
-	// prefix stays applied and durable; the suffix is marked unapplied.
-	before := h.d.Len()
-	results, err = h.cl.Bulk(ctx, []client.BulkOp{
-		{Op: "insert", Doc: client.Doc{"name": "c"}},
-		{Op: "frobnicate"},
-		{Op: "insert", Doc: client.Doc{"name": "d"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].ID == 0 || results[0].Error != "" {
-		t.Fatalf("applied prefix: %+v", results[0])
-	}
-	if results[1].Error == "" || !strings.Contains(results[1].Error, "frobnicate") {
-		t.Fatalf("failed op: %+v", results[1])
-	}
-	if !results[2].Unapplied {
-		t.Fatalf("suffix not marked unapplied: %+v", results[2])
-	}
-	if got := h.d.Len(); got != before+1 {
-		t.Fatalf("table grew by %d docs, want 1", got-before)
-	}
-	if h.d.DurableLSN() < h.d.LastLSN() {
-		t.Fatalf("applied prefix not durable: %d < %d", h.d.DurableLSN(), h.d.LastLSN())
-	}
-
-	// Empty ops list is a client error.
-	resp, err := http.Post(h.ts.URL+"/v1/bulk", "application/json", strings.NewReader(`{"ops":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty bulk: got %d, want 400", resp.StatusCode)
 	}
 }

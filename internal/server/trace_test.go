@@ -20,11 +20,11 @@ func TestServerQueryTraceInline(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 3; i++ {
-		if _, err := h.cl.Insert(ctx, client.Doc{"rpm": int64(7200 + i), "disk": int64(i)}); err != nil {
+		if _, err := h.bc.Insert(ctx, client.Doc{"rpm": int64(7200 + i), "disk": int64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := h.cl.Insert(ctx, client.Doc{"wifi": int64(1)}); err != nil {
+	if _, err := h.bc.Insert(ctx, client.Doc{"wifi": int64(1)}); err != nil {
 		t.Fatal(err)
 	}
 

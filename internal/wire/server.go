@@ -35,9 +35,9 @@ type Store interface {
 }
 
 // Acker is the durability ack: the group committer's Commit method.
-// The daemon passes the same committer the HTTP server uses, so one
-// fsync covers write batches arriving over both protocols. A nil Acker
-// falls back to direct SyncTo (per-batch fsync).
+// The daemon passes the committer its HTTP server also acks compactions
+// with, so one fsync covers write batches from every connection. A nil
+// Acker falls back to direct SyncTo (per-batch fsync).
 type Acker interface {
 	Commit(ctx context.Context, lsn uint64) error
 }
@@ -70,8 +70,8 @@ type Server struct {
 }
 
 // New builds a wire Server around st. ack may be nil (direct fsync per
-// batch); the daemon passes the HTTP server's group committer so both
-// protocols share commit batches.
+// batch); the daemon passes its group committer so writes across
+// connections share commit batches.
 func New(st Store, ack Acker, cfg Config) *Server {
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = DefaultMaxFrame
@@ -429,7 +429,7 @@ func (s *Server) handleBatch(c *conn, f Frame) {
 }
 
 // commit makes everything this connection has applied durable: one
-// group-commit wait (shared with the HTTP path) or a direct SyncTo.
+// group-commit wait (shared across connections) or a direct SyncTo.
 func (s *Server) commit() error {
 	lsn := s.st.LastLSN()
 	if s.ack == nil {

@@ -23,17 +23,20 @@ go vet ./...
 # dictionary), the single-table stand-ins for the daemon's store with
 # their "-1 = unsharded" rows (the daemon serves shard.Sharded for every
 # N), the table's second and third copies of attribute membership (the
-# presence matrix is the one owner) and the catalog index with its
-# switch (findBest has one path). The patterns live on the next five
+# presence matrix is the one owner), the catalog index with its
+# switch (findBest has one path) and the HTTP write path — its routes,
+# handlers, bulk client types, write admission queue and flags (writes go
+# over the binary protocol only). The patterns live on the next six
 # lines only.
 GONE='SetLockedReads|SetBitmapScans|\[\]\[\]\*synopsis\.Set|PerOpSync|SetParallelism|allow-serial|sweep-clients' BASELINES='BENCH_*.json'
 GONE="$GONE|zoneGen|zoneWiden|zoneAbsorb|zoneTrim|RebuildZoneMaps|PruneZoneMiss|ResetPrunes|zmu"
 GONE="$GONE|remapMu|toShard|toWire|wireDict|setRemap|MarshalRemap|\.Remap\("
 GONE="$GONE|tier\.Single|SingleTable|ShardOf|Shard: -1"
 GONE="$GONE|attrRefs|attrSyn|entityAtt|refAdd|refRemove|UseCatalogIndex|attrIndex|idxSyn|postingsInsert|visitEpoch"
+GONE="$GONE|handleInsert|handleBulk|handleUpdate|handleDelete|BulkOp|BulkResult|MaxReadInflight|MaxQueue|AddServerQueued|read-inflight|/v1/insert|/v1/bulk|/v1/update|/v1/delete"
 echo "== deleted-stays-deleted gate"
 if grep -rnE "$GONE" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '_test\.go:'; then
-	echo "verify: a deleted toggle, sidecar field, private bench flag, zone map, id remap, store stand-in, membership copy or catalog index is back"; exit 1
+	echo "verify: a deleted toggle, sidecar field, private bench flag, zone map, id remap, store stand-in, membership copy, catalog index or HTTP write path is back"; exit 1
 fi
 # One store behind the daemon: the daemon and its layers never open a
 # single-file table themselves; only internal/shard does, once per shard.
@@ -66,10 +69,12 @@ go test -race -count=2 \
 echo "== go test -C bench ./..."
 go test -C bench -count=1 ./...
 
-# What that does not touch is the HTTP/JSON surface: the load CLI, the
-# /debug endpoints, inline traces, reads served across a drain. The
-# daemon runs with the flags bench/ measures (two shards, reclusterer,
-# tier manager), on the first start and on every reopen.
+# What that does not touch is the HTTP/JSON surface: the load CLI (its
+# writes go over the binary protocol at the address /v1/health reports),
+# the /debug endpoints, inline traces, reads served across a drain, and
+# the absence of HTTP writes. The daemon runs with the flags bench/
+# measures (two shards, reclusterer, tier manager), on the first start
+# and on every reopen.
 echo "== cinderellad HTTP drill"
 SMOKE=$(mktemp -d)
 DPID=
@@ -78,11 +83,11 @@ die() { echo "verify: $*"; cat "$SMOKE/daemon.log"; exit 1; }
 get() { curl -sf "http://$ADDR$1"; }
 
 # start_daemon FLAGS…: start cinderellad with the benchmarked flags plus
-# FLAGS on an ephemeral port and wait until it has bound; sets DPID and
+# FLAGS on ephemeral ports and wait until it has bound; sets DPID and
 # ADDR.
 start_daemon() {
 	rm -f "$SMOKE/addr"
-	"$SMOKE/cinderellad" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" -wal "$SMOKE/smoke.d" \
+	"$SMOKE/cinderellad" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" -bin-addr 127.0.0.1:0 -wal "$SMOKE/smoke.d" \
 		-shards 2 -recluster -tier "$@" \
 		>>"$SMOKE/daemon.log" 2>&1 &
 	DPID=$!
@@ -119,6 +124,9 @@ get /debug/heat | grep -q '"records_read"' || die "/debug/heat has no rows after
 get /debug/slow | grep -q '"trace_id"' || die "/debug/slow retained no spans at a 1us threshold"
 get '/v1/query-report?attrs=universal_00&trace=1' | grep -q '"trace"' || die "?trace=1 returned no inline span"
 get /metrics | grep -q '^cinderella_slow_queries_total [1-9]' || die "slow-query counter never moved"
+# Writes go over the binary protocol only.
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '{"doc":{"a":1}}' "http://$ADDR/v1/insert") || code=000
+case "$code" in 2*) die "POST /v1/insert answered $code: the HTTP write path is back" ;; esac
 # A query loop runs across the drain. Reads must stay served until the
 # listener closes — the loop ends on connection failure (code 000); a
 # 503 on a read route means the drain rejected a reader.
