@@ -298,7 +298,7 @@ func main() {
 			"ratings=%d splits=%d partitions=%d trace-events=%d\n",
 			reg.Efficiency(), winEff, winN,
 			reg.Counter(obs.CRatings), reg.Counter(obs.CSplits),
-			reg.Partitions(), reg.TraceSeq())
+			reg.Gauge(obs.GPartitions), reg.TraceSeq())
 		if heat := reg.ColdestPartitions(10, 1); len(heat) > 0 {
 			fmt.Printf("\npartition heat, coldest first (lowest relevant/read — recluster candidates)\n")
 			fmt.Printf("%-6s %8s %12s %12s %12s %8s\n", "part", "queries", "read", "relevant", "skipped", "ratio")

@@ -168,19 +168,12 @@ type PartitionHeat struct {
 	LastQuerySeq     int64   `json:"last_query_seq"`
 }
 
-// HeatEnabled reports whether the heat map is collecting (it is unless
-// Options.DisableHeat was set, a knob that exists for overhead
-// baselines only).
-func (r *Registry) HeatEnabled() bool {
-	return r != nil && r.heat != nil
-}
-
 // SetHeatHalfLife arms exponential heat decay: counters lose half
 // their weight every d of wall time, so heat rankings follow the
 // recent workload. d <= 0 disarms decay (counters stay cumulative,
 // the historical behavior). Nil-safe.
 func (r *Registry) SetHeatHalfLife(d time.Duration) {
-	if r == nil || r.heat == nil {
+	if r == nil {
 		return
 	}
 	r.heat.lastDecay.Store(r.heat.nowNs())
@@ -189,7 +182,7 @@ func (r *Registry) SetHeatHalfLife(d time.Duration) {
 
 // HeatHalfLife reports the armed decay half-life (0 = disarmed).
 func (r *Registry) HeatHalfLife() time.Duration {
-	if r == nil || r.heat == nil {
+	if r == nil {
 		return 0
 	}
 	return time.Duration(r.heat.halfLifeNs.Load())
@@ -200,7 +193,7 @@ func (r *Registry) HeatHalfLife() time.Duration {
 // membership that no longer exists, and fresh queries should measure
 // the partition from scratch. Nil-safe; unknown keys are a no-op.
 func (r *Registry) ResetHeat(shard int32, pid uint64) {
-	if r == nil || r.heat == nil {
+	if r == nil {
 		return
 	}
 	h := r.heat
@@ -216,7 +209,7 @@ func (r *Registry) ResetHeat(shard int32, pid uint64) {
 // and whether the partition has been read at all since its counters
 // were last reset. Nil-safe.
 func (r *Registry) HeatRatio(shard int32, pid uint64) (float64, bool) {
-	if r == nil || r.heat == nil {
+	if r == nil {
 		return 0, false
 	}
 	h := r.heat
@@ -236,7 +229,7 @@ func (r *Registry) HeatRatio(shard int32, pid uint64) (float64, bool) {
 // HeatSnapshot returns one row per (shard, partition) ever touched by a
 // query, ordered by shard then partition id. Nil-safe.
 func (r *Registry) HeatSnapshot() []PartitionHeat {
-	if r == nil || r.heat == nil {
+	if r == nil {
 		return nil
 	}
 	h := r.heat

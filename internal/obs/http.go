@@ -18,6 +18,7 @@ import (
 //	/debug/vars  expvar (the registry snapshot is published as "cinderella")
 //	/debug/heat  per-partition heat map, JSON (see heat.go)
 //	/debug/slow  slow-query log and recent sampled traces, JSON
+//	/debug/recluster  reclusterer status, victim outcomes and counters, JSON
 //	/debug/tier  tiering manager status and freeze/thaw counters, JSON
 //	/debug/pprof net/http/pprof profiles
 //
@@ -51,8 +52,25 @@ func (r *Registry) Mux() *http.ServeMux {
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/heat", r.handleHeat)
 	mux.HandleFunc("/debug/slow", r.handleSlow)
-	mux.HandleFunc("/debug/recluster", r.handleRecluster)
-	mux.HandleFunc("/debug/tier", r.handleTier)
+	mux.HandleFunc("/debug/recluster", func(w http.ResponseWriter, _ *http.Request) {
+		r.writeStatus(w, "recluster", map[string]any{
+			"outcomes": r.ReclusterOutcomes(),
+			"counters": map[string]int64{
+				"rounds":   r.Counter(CReclusterRounds),
+				"batches":  r.Counter(CReclusterBatches),
+				"moves":    r.Counter(CReclusterMoves),
+				"examined": r.Counter(CReclusterExamined),
+			},
+		})
+	})
+	mux.HandleFunc("/debug/tier", func(w http.ResponseWriter, _ *http.Request) {
+		r.writeStatus(w, "tier", map[string]any{
+			"counters": map[string]int64{
+				"freezes": r.Counter(CTierFreezes),
+				"thaws":   r.Counter(CTierThaws),
+			},
+		})
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -102,8 +120,8 @@ func (r *Registry) handleHeat(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	writeDebugJSON(w, map[string]any{
-		"enabled":        r.HeatEnabled(),
-		"snapshot_epoch": r.SnapshotEpoch(),
+		"enabled":        true, // the heat map is always on; probes check the key
+		"snapshot_epoch": r.Gauge(GSnapshotEpoch),
 		"partitions":     len(rows),
 		"heat":           rows,
 	})
@@ -122,40 +140,33 @@ func (r *Registry) handleSlow(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleRecluster serves the reclusterer's live status: whether a
-// manager is attached (enabled), its Status snapshot, the victim
-// outcome ring, and the recluster counters. With no manager installed
-// it still answers — enabled:false — so probes need no special case.
-func (r *Registry) handleRecluster(w http.ResponseWriter, _ *http.Request) {
-	status, enabled := r.reclusterStatusValue()
-	writeDebugJSON(w, map[string]any{
-		"enabled":  enabled,
-		"status":   status,
-		"outcomes": r.ReclusterOutcomes(),
-		"counters": map[string]int64{
-			"rounds":   r.Counter(CReclusterRounds),
-			"batches":  r.Counter(CReclusterBatches),
-			"moves":    r.Counter(CReclusterMoves),
-			"examined": r.Counter(CReclusterExamined),
-		},
-	})
+// SetStatus installs (or, with nil, removes) the live status provider
+// behind /debug/<name>: the recluster and tiering managers install a
+// closure over their Status methods under "recluster" and "tier".
+// Registration order relative to Mux does not matter. Nil-safe.
+func (r *Registry) SetStatus(name string, f func() any) {
+	if r == nil {
+		return
+	}
+	if f == nil {
+		r.status.Delete(name)
+		return
+	}
+	r.status.Store(name, f)
 }
 
-// handleTier serves the tiering manager's live status: whether a
-// manager is attached (enabled), its Status snapshot (per-partition
-// tier states, resident-byte budget, reheat activity), and the
-// freeze/thaw transition counters. With no manager installed it still
-// answers — enabled:false — so probes need no special case.
-func (r *Registry) handleTier(w http.ResponseWriter, _ *http.Request) {
-	status, enabled := r.tierStatusValue()
-	writeDebugJSON(w, map[string]any{
-		"enabled": enabled,
-		"status":  status,
-		"counters": map[string]int64{
-			"freezes": r.Counter(CTierFreezes),
-			"thaws":   r.Counter(CTierThaws),
-		},
-	})
+// writeStatus serves /debug/<name>: body plus whether a manager is
+// attached (enabled) and its status. With no provider installed it
+// still answers — enabled:false — so probes need no special case.
+func (r *Registry) writeStatus(w http.ResponseWriter, name string, body map[string]any) {
+	f, enabled := r.status.Load(name)
+	var status any
+	if enabled {
+		status = f.(func() any)()
+	}
+	body["enabled"] = enabled
+	body["status"] = status
+	writeDebugJSON(w, body)
 }
 
 func writeDebugJSON(w http.ResponseWriter, v any) {
@@ -166,38 +177,38 @@ func writeDebugJSON(w http.ResponseWriter, v any) {
 }
 
 // WriteMetrics writes the registry in the Prometheus text exposition
-// format: every counter, the gauges (partition count and the streaming
-// EFFICIENCY estimates), and the latency histograms with cumulative
-// buckets in seconds.
+// format: every row of the counter, gauge and histogram tables (with
+// their per-shard families once shard views exist), the gauges computed
+// at export time (the streaming EFFICIENCY estimates, the tracer
+// settings, the heat map size), and the bounded heat and recluster
+// victim families.
 func (r *Registry) WriteMetrics(w io.Writer) {
-	for c := Counter(0); c < numCounters; c++ {
-		// Labeled counters ('{' in the name) are samples of a shared
-		// family, rendered below with a single HELP/TYPE header.
-		if strings.ContainsRune(counterNames[c], '{') {
-			continue
+	for c, d := range counterDefs {
+		if c == 0 || counterDefs[c-1].name != d.name {
+			writeHeader(w, d.name, d.help, "counter")
 		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			counterNames[c], counterHelp[c], counterNames[c], counterNames[c], r.Counter(c))
+		fmt.Fprintf(w, "%s %d\n", d.sample(), r.Counter(Counter(c)))
+	}
+	for g, d := range gaugeDefs {
+		writeHeader(w, d.name, d.help, "gauge")
+		fmt.Fprintf(w, "%s %d\n", d.name, r.Gauge(Gauge(g)))
 	}
 
-	// Per-protocol traffic families: one family per direction, one sample
-	// per protocol, so dashboards can sum or split by the proto label.
-	byteFamily := func(name, help string, httpC, wireC Counter) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		fmt.Fprintf(w, "%s{proto=\"http\"} %d\n", name, r.Counter(httpC))
-		fmt.Fprintf(w, "%s{proto=\"binary\"} %d\n", name, r.Counter(wireC))
+	// Per-shard families, present once shard views exist.
+	if slots := r.shardSlots(); len(slots) > 0 {
+		shardRows(func(d metricDef, typ string, cell func(*shardSlot) *atomic.Int64) {
+			name := d.shardName()
+			writeHeader(w, name, strings.TrimSuffix(d.help, ".")+", by shard.", typ)
+			for _, s := range slots {
+				fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, s.id, cell(s).Load())
+			}
+		})
 	}
-	byteFamily("cinderella_server_bytes_in_total", "Request bytes received, by protocol.", CBytesInHTTP, CBytesInWire)
-	byteFamily("cinderella_server_bytes_out_total", "Response bytes sent, by protocol.", CBytesOutHTTP, CBytesOutWire)
 
 	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n",
-			name, help, name, name, formatFloat(v))
+		writeHeader(w, name, help, "gauge")
+		fmt.Fprintf(w, "%s %s\n", name, formatFloat(v))
 	}
-	gauge("cinderella_partitions", "Current partition count.", float64(r.Partitions()))
-	gauge("cinderella_server_inflight", "HTTP API requests currently executing.", float64(r.ServerInflight()))
-	gauge("cinderella_wire_connections", "Open binary wire protocol connections.", float64(r.WireConns()))
-	gauge("cinderella_snapshot_epoch", "Snapshot-publication epoch of the lock-free read path.", float64(r.SnapshotEpoch()))
 	gauge("cinderella_efficiency",
 		"Streaming EFFICIENCY (Definition 1, entity-count units) over all queries.",
 		r.Efficiency())
@@ -209,64 +220,35 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 	gauge("cinderella_efficiency_bytes",
 		"Streaming EFFICIENCY with SIZE() in record bytes: relevant bytes / bytes read.",
 		r.EfficiencyBytes())
-
-	// Per-shard attribution series (present only when shard views exist).
-	if shards := r.ShardSnapshots(); len(shards) > 0 {
-		shardFamily := func(name, help, typ string, value func(ShardSnapshot) int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for _, s := range shards {
-				fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", name, s.Shard, value(s))
-			}
-		}
-		shardFamily("cinderella_shard_inserts_total", "Entities inserted, by shard.", "counter",
-			func(s ShardSnapshot) int64 { return s.Inserts })
-		shardFamily("cinderella_shard_deletes_total", "Entities deleted, by shard.", "counter",
-			func(s ShardSnapshot) int64 { return s.Deletes })
-		shardFamily("cinderella_shard_updates_total", "Entity updates, by shard.", "counter",
-			func(s ShardSnapshot) int64 { return s.Updates })
-		shardFamily("cinderella_shard_queries_total", "Queries scanned, by shard (fan-out counts each shard).", "counter",
-			func(s ShardSnapshot) int64 { return s.Queries })
-		shardFamily("cinderella_shard_wal_appends_total", "WAL appends, by shard.", "counter",
-			func(s ShardSnapshot) int64 { return s.WALAppends })
-		shardFamily("cinderella_shard_scan_records_decoded_total", "Records decoded by query scans, by shard.", "counter",
-			func(s ShardSnapshot) int64 { return s.ScanDecoded })
-		shardFamily("cinderella_shard_scan_decode_skipped_total", "Records the bitmap scan kernel pruned without decoding, by shard.", "counter",
-			func(s ShardSnapshot) int64 { return s.ScanSkipped })
-		shardFamily("cinderella_shard_partitions", "Current partition count, by shard.", "gauge",
-			func(s ShardSnapshot) int64 { return s.Partitions })
-	}
-
-	// Query-tracing gauges and the bounded per-partition heat families.
 	gauge("cinderella_slow_threshold_seconds",
 		"Armed slow-query threshold (0 = slow log disarmed).",
 		float64(r.SlowThreshold())/1e9)
 	gauge("cinderella_trace_sample_period",
 		"Span tracer sampling period: every N-th query is traced in detail (0 = disabled).",
 		float64(r.TraceSampleEvery()))
-	if r.HeatEnabled() {
-		gauge("cinderella_heat_partitions",
-			"Partitions tracked by the heat map (touched by at least one query).",
-			float64(len(r.HeatSnapshot())))
-		// Label cardinality stays bounded: only the heatExportLimit
-		// coldest partitions (lowest relevant/read ratio) are exported as
-		// labeled series; the full map is at /debug/heat.
-		if cold := r.ColdestPartitions(heatExportLimit, 1); len(cold) > 0 {
-			heatFamily := func(name, help, typ string, value func(PartitionHeat) string) {
-				fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-				for _, p := range cold {
-					fmt.Fprintf(w, "%s{shard=\"%d\",partition=\"%d\"} %s\n", name, p.Shard, p.Partition, value(p))
-				}
+	gauge("cinderella_heat_partitions",
+		"Partitions tracked by the heat map (touched by at least one query).",
+		float64(len(r.HeatSnapshot())))
+
+	// Label cardinality stays bounded: only the heatExportLimit coldest
+	// partitions (lowest relevant/read ratio) are exported as labeled
+	// series; the full map is at /debug/heat.
+	if cold := r.ColdestPartitions(heatExportLimit, 1); len(cold) > 0 {
+		heatFamily := func(name, help, typ string, value func(PartitionHeat) string) {
+			writeHeader(w, name, help, typ)
+			for _, p := range cold {
+				fmt.Fprintf(w, "%s{shard=\"%d\",partition=\"%d\"} %s\n", name, p.Shard, p.Partition, value(p))
 			}
-			heatFamily("cinderella_partition_read_ratio",
-				"Per-partition EFFICIENCY (records relevant / records read) for the coldest partitions.", "gauge",
-				func(p PartitionHeat) string { return formatFloat(p.ReadRatio) })
-			heatFamily("cinderella_partition_heat_queries_total",
-				"Queries that scanned the partition, for the coldest partitions.", "counter",
-				func(p PartitionHeat) string { return strconv.FormatInt(p.Queries, 10) })
-			heatFamily("cinderella_partition_heat_records_read_total",
-				"Records read from the partition by queries, for the coldest partitions.", "counter",
-				func(p PartitionHeat) string { return strconv.FormatInt(p.RecordsRead, 10) })
 		}
+		heatFamily("cinderella_partition_read_ratio",
+			"Per-partition EFFICIENCY (records relevant / records read) for the coldest partitions.", "gauge",
+			func(p PartitionHeat) string { return formatFloat(p.ReadRatio) })
+		heatFamily("cinderella_partition_heat_queries_total",
+			"Queries that scanned the partition, for the coldest partitions.", "counter",
+			func(p PartitionHeat) string { return strconv.FormatInt(p.Queries, 10) })
+		heatFamily("cinderella_partition_heat_records_read_total",
+			"Records read from the partition by queries, for the coldest partitions.", "counter",
+			func(p PartitionHeat) string { return strconv.FormatInt(p.RecordsRead, 10) })
 	}
 
 	// Recluster victim outcomes: efficiency at selection vs. measured
@@ -288,7 +270,7 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 			latest[k] = o
 		}
 		victimFamily := func(name, help string, value func(ReclusterOutcome) (string, bool)) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+			writeHeader(w, name, help, "gauge")
 			for _, k := range order {
 				if v, ok := value(latest[k]); ok {
 					fmt.Fprintf(w, "%s{shard=\"%d\",partition=\"%d\"} %s\n", name, k.shard, k.pid, v)
@@ -306,29 +288,28 @@ func (r *Registry) WriteMetrics(w io.Writer) {
 			func(o ReclusterOutcome) (string, bool) { return strconv.FormatInt(o.Moved, 10), true })
 	}
 
-	for _, nh := range r.histograms() {
-		writeHistogram(w, nh.name, nh.help, nh.hist, nh.scale)
+	// Histograms, with cumulative buckets; scale divides raw samples.
+	for i, d := range histDefs {
+		h := &r.hists[i]
+		writeHeader(w, d.name, d.help, "histogram")
+		var cum int64
+		for b, bound := range h.bounds {
+			cum += h.counts[b].Load()
+			fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", d.name, formatFloat(float64(bound)/d.scale), cum)
+		}
+		cum += h.counts[len(h.bounds)].Load()
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", d.name, cum)
+		fmt.Fprintf(w, "%s_sum %s\n", d.name, formatFloat(float64(h.sum.Load())/d.scale))
+		fmt.Fprintf(w, "%s_count %d\n", d.name, h.total.Load())
 	}
+}
+
+func writeHeader(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
 // heatExportLimit bounds the per-partition labeled series on /metrics.
 const heatExportLimit = 16
-
-// writeHistogram renders one histogram family with cumulative buckets.
-// scale divides raw sample values (1e9 for nanoseconds→seconds, 1 for
-// unit-less samples like batch sizes).
-func writeHistogram(w io.Writer, name, help string, h *Histogram, scale float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	var cum int64
-	for i, b := range h.boundsNs {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatFloat(float64(b)/scale), cum)
-	}
-	cum += h.counts[len(h.boundsNs)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(float64(h.SumNs())/scale))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-}
 
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)

@@ -7,11 +7,13 @@
 // computes offline after a run ends. The Registry maintains the same
 // numerator and denominator incrementally per query, so the metric is
 // readable at any moment: cumulative since start, and windowed over the
-// last N queries. Around it sit atomic counters and fixed-bucket latency
-// histograms for the hot operations, a bounded event trace recording
-// structured partitioner decisions (see trace.go), and an opt-in HTTP
-// ops endpoint (see http.go) exposing Prometheus text metrics, expvar,
-// and pprof without external dependencies.
+// last N queries. Around it sit atomic counters, gauges and fixed-bucket
+// histograms, each declared once in a table below (one row per metric;
+// /metrics and the expvar snapshot are generated from the tables), a
+// bounded event trace recording structured partitioner decisions (see
+// trace.go), and an opt-in HTTP ops endpoint (see http.go) exposing
+// Prometheus text metrics, expvar, and pprof without external
+// dependencies.
 //
 // Every producer-side method is nil-safe: a nil *Registry is a no-op, so
 // the library layers stay dependency-free and uninstrumented hot paths
@@ -19,7 +21,9 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -69,11 +73,11 @@ const (
 
 	// Per-protocol traffic accounting and the binary wire protocol's
 	// frame/op counters, published by internal/server (http) and
-	// internal/wire (binary). The byte counters export as one labeled
-	// family per direction: cinderella_server_bytes_{in,out}_total{proto=...}.
+	// internal/wire (binary). The byte counters are samples of one
+	// labeled family per direction.
 	CBytesInHTTP
-	CBytesOutHTTP
 	CBytesInWire
+	CBytesOutHTTP
 	CBytesOutWire
 	CWireFrames
 	CWireOps
@@ -99,109 +103,131 @@ const (
 	numCounters
 )
 
-// counterNames maps counters to their Prometheus metric names.
-var counterNames = [numCounters]string{
-	CInserts:           "cinderella_inserts_total",
-	CUpdates:           "cinderella_updates_total",
-	CDeletes:           "cinderella_deletes_total",
-	CUpdateMoves:       "cinderella_update_moves_total",
-	CSplits:            "cinderella_splits_total",
-	CSplitCascades:     "cinderella_split_cascades_total",
-	CSplitMoves:        "cinderella_split_moves_total",
-	CMerges:            "cinderella_merges_total",
-	CPartitionsCreated: "cinderella_partitions_created_total",
-	CPartitionsDropped: "cinderella_partitions_dropped_total",
-	CRatings:           "cinderella_ratings_total",
-	CQueries:           "cinderella_queries_total",
-	CPartitionsScanned: "cinderella_partitions_scanned_total",
-	CPartitionsPruned:  "cinderella_partitions_pruned_total",
-	CEntitiesScanned:   "cinderella_entities_scanned_total",
-	CEntitiesReturned:  "cinderella_entities_returned_total",
-	CBytesRead:         "cinderella_query_bytes_read_total",
-	CBytesRelevant:     "cinderella_query_bytes_relevant_total",
-	CScanDecoded:       "cinderella_scan_records_decoded_total",
-	CScanDecodeSkipped: "cinderella_scan_decode_skipped_total",
-	CScanBitmapWords:   "cinderella_scan_bitmap_words_total",
-	CScanBitmapHits:    "cinderella_scan_bitmap_hits_total",
-	CWALAppends:        "cinderella_wal_appends_total",
-	CWALAppendBytes:    "cinderella_wal_append_bytes_total",
-	CWALSyncs:          "cinderella_wal_syncs_total",
-	CSrvRequests:       "cinderella_server_requests_total",
-	CSrvRejected:       "cinderella_server_rejected_total",
-	CSrvErrors:         "cinderella_server_errors_total",
-	CGroupCommits:      "cinderella_server_group_commits_total",
-	CGroupCommitOps:    "cinderella_server_group_commit_ops_total",
-	// Labeled names ('{' present) are skipped by the generic /metrics
-	// loop and rendered as proper labeled families in WriteMetrics; the
-	// expvar snapshot uses them verbatim as map keys.
-	CBytesInHTTP:  `cinderella_server_bytes_in_total{proto="http"}`,
-	CBytesOutHTTP: `cinderella_server_bytes_out_total{proto="http"}`,
-	CBytesInWire:  `cinderella_server_bytes_in_total{proto="binary"}`,
-	CBytesOutWire: `cinderella_server_bytes_out_total{proto="binary"}`,
-	CWireFrames:   "cinderella_wire_frames_total",
-	CWireOps:      "cinderella_wire_ops_total",
-	CWireErrors:   "cinderella_wire_errors_total",
-	CWireRejected: "cinderella_wire_rejected_total",
-	CTraceSampled: "cinderella_trace_sampled_total",
-	CSlowQueries:  "cinderella_slow_queries_total",
+// Gauge identifies one stored gauge in the registry.
+type Gauge uint8
 
-	CReclusterRounds:   "cinderella_recluster_rounds_total",
-	CReclusterBatches:  "cinderella_recluster_batches_total",
-	CReclusterMoves:    "cinderella_recluster_moves_total",
-	CReclusterExamined: "cinderella_recluster_examined_total",
+// Registry gauges.
+const (
+	GPartitions     Gauge = iota // current partition count (table layer)
+	GSnapshotEpoch               // snapshot publications (table layer)
+	GServerInflight              // HTTP requests executing (internal/server)
+	GWireConns                   // open binary connections (internal/wire)
 
-	CTierFreezes: "cinderella_tier_freezes_total",
-	CTierThaws:   "cinderella_tier_thaws_total",
+	numGauges
+)
+
+// Hist identifies one histogram in the registry.
+type Hist uint8
+
+// Registry histograms. The *Ns ones take nanosecond samples.
+const (
+	HInsertNs Hist = iota
+	HQueryNs
+	HWALAppendNs
+	HWALSyncNs
+	HServerNs
+	HCommitBatch // operations per group-commit batch
+	HWireBatch   // operations per binary wire batch frame
+
+	numHists
+)
+
+// metricDef declares one stored counter or gauge: its Prometheus family
+// name, the label pair of its sample when the family has several (rows
+// of one family are adjacent), HELP text, and whether a shard view also
+// keeps it per shard, exported as cinderella_shard_*{shard="i"}.
+type metricDef struct {
+	name, label, help string
+	perShard          bool
 }
 
-// counterHelp documents each counter for the /metrics HELP lines.
-var counterHelp = [numCounters]string{
-	CInserts:           "Entities inserted through the partitioner.",
-	CUpdates:           "Entity updates processed by the partitioner.",
-	CDeletes:           "Entity deletes processed by the partitioner.",
-	CUpdateMoves:       "Updates that relocated the entity to another partition.",
-	CSplits:            "Partition splits performed (Algorithm 1 lines 26-33).",
-	CSplitCascades:     "Splits triggered while redistributing another split.",
-	CSplitMoves:        "Entities physically relocated by splits or merges.",
-	CMerges:            "Partition merges performed by Compact.",
-	CPartitionsCreated: "Partitions created.",
-	CPartitionsDropped: "Partitions dropped.",
-	CRatings:           "Entity/partition ratings computed (Section IV kernel invocations).",
-	CQueries:           "Attribute-set and predicate queries executed.",
-	CPartitionsScanned: "Partitions scanned by queries (survived synopsis pruning).",
-	CPartitionsPruned:  "Partitions pruned by queries without touching data.",
-	CEntitiesScanned:   "Live records visited by query scans.",
-	CEntitiesReturned:  "Records returned by queries (relevant to the query).",
-	CBytesRead:         "Live record bytes read by query scans.",
-	CBytesRelevant:     "Live record bytes of records relevant to their query.",
-	CScanDecoded:       "Records decoded by query scans.",
-	CScanDecodeSkipped: "Records the bitmap scan kernel pruned without decoding.",
-	CScanBitmapWords:   "64-bit word operations performed by the word-parallel bitmap scan kernel.",
-	CScanBitmapHits:    "Candidate records the bitmap scan kernel could not rule out (decoded).",
-	CWALAppends:        "Operations appended to the write-ahead log.",
-	CWALAppendBytes:    "Payload bytes appended to the write-ahead log.",
-	CWALSyncs:          "Write-ahead-log fsyncs.",
-	CSrvRequests:       "HTTP API requests admitted and served.",
-	CSrvRejected:       "HTTP API requests rejected with 503 (inflight bound reached, or an admin write during drain).",
-	CSrvErrors:         "HTTP API requests answered with a 4xx/5xx error status.",
-	CGroupCommits:      "Group-commit batches flushed (one WAL fsync each, at most).",
-	CGroupCommitOps:    "Acknowledged operations covered by group-commit batches.",
-	CBytesInHTTP:       "Request bytes received, by protocol.",
-	CBytesOutHTTP:      "Response bytes sent, by protocol.",
-	CBytesInWire:       "Request bytes received, by protocol.",
-	CBytesOutWire:      "Response bytes sent, by protocol.",
-	CWireFrames:        "Binary wire protocol frames served.",
-	CWireOps:           "Operations applied through the binary wire protocol.",
-	CWireErrors:        "Binary wire frames answered with an error status (or dropped as malformed).",
-	CWireRejected:      "Binary wire write frames rejected with a retryable status (draining).",
-	CTraceSampled:      "Root query spans captured by the 1-in-N span tracer.",
-	CSlowQueries:       "Queries at or over the slow-query threshold, retained in the slow log.",
-	CReclusterRounds:   "Reclusterer rounds completed (one heat-map victim scan each).",
-	CReclusterBatches:  "Victim-partition migration batches executed by the reclusterer.",
-	CReclusterMoves:    "Entities relocated to another partition by reclustering.",
-	CReclusterExamined: "Entities re-rated by the reclusterer (moved or kept in place).",
-	CTierFreezes:       "Partitions frozen into the compressed cold storage tier.",
-	CTierThaws:         "Partitions thawed back into the hot tier (mutation or reheat).",
+// sample is the row's sample name: the family name plus its label.
+func (d metricDef) sample() string {
+	if d.label == "" {
+		return d.name
+	}
+	return d.name + "{" + d.label + "}"
+}
+
+// shardName is the family name of the row's per-shard series.
+func (d metricDef) shardName() string {
+	return "cinderella_shard_" + strings.TrimPrefix(d.name, "cinderella_")
+}
+
+var counterDefs = [numCounters]metricDef{
+	CInserts:           {name: "cinderella_inserts_total", help: "Entities inserted through the partitioner.", perShard: true},
+	CUpdates:           {name: "cinderella_updates_total", help: "Entity updates processed by the partitioner.", perShard: true},
+	CDeletes:           {name: "cinderella_deletes_total", help: "Entity deletes processed by the partitioner.", perShard: true},
+	CUpdateMoves:       {name: "cinderella_update_moves_total", help: "Updates that relocated the entity to another partition."},
+	CSplits:            {name: "cinderella_splits_total", help: "Partition splits performed (Algorithm 1 lines 26-33)."},
+	CSplitCascades:     {name: "cinderella_split_cascades_total", help: "Splits triggered while redistributing another split."},
+	CSplitMoves:        {name: "cinderella_split_moves_total", help: "Entities physically relocated by splits or merges."},
+	CMerges:            {name: "cinderella_merges_total", help: "Partition merges performed by Compact."},
+	CPartitionsCreated: {name: "cinderella_partitions_created_total", help: "Partitions created."},
+	CPartitionsDropped: {name: "cinderella_partitions_dropped_total", help: "Partitions dropped."},
+	CRatings:           {name: "cinderella_ratings_total", help: "Entity/partition ratings computed (Section IV kernel invocations)."},
+	CQueries:           {name: "cinderella_queries_total", help: "Attribute-set and predicate queries executed.", perShard: true},
+	CPartitionsScanned: {name: "cinderella_partitions_scanned_total", help: "Partitions scanned by queries (survived synopsis pruning)."},
+	CPartitionsPruned:  {name: "cinderella_partitions_pruned_total", help: "Partitions pruned by queries without touching data."},
+	CEntitiesScanned:   {name: "cinderella_entities_scanned_total", help: "Live records visited by query scans."},
+	CEntitiesReturned:  {name: "cinderella_entities_returned_total", help: "Records returned by queries (relevant to the query)."},
+	CBytesRead:         {name: "cinderella_query_bytes_read_total", help: "Live record bytes read by query scans."},
+	CBytesRelevant:     {name: "cinderella_query_bytes_relevant_total", help: "Live record bytes of records relevant to their query."},
+	CScanDecoded:       {name: "cinderella_scan_records_decoded_total", help: "Records decoded by query scans.", perShard: true},
+	CScanDecodeSkipped: {name: "cinderella_scan_decode_skipped_total", help: "Records the bitmap scan kernel pruned without decoding.", perShard: true},
+	CScanBitmapWords:   {name: "cinderella_scan_bitmap_words_total", help: "64-bit word operations performed by the word-parallel bitmap scan kernel."},
+	CScanBitmapHits:    {name: "cinderella_scan_bitmap_hits_total", help: "Candidate records the bitmap scan kernel could not rule out (decoded)."},
+	CWALAppends:        {name: "cinderella_wal_appends_total", help: "Operations appended to the write-ahead log.", perShard: true},
+	CWALAppendBytes:    {name: "cinderella_wal_append_bytes_total", help: "Payload bytes appended to the write-ahead log."},
+	CWALSyncs:          {name: "cinderella_wal_syncs_total", help: "Write-ahead-log fsyncs."},
+	CSrvRequests:       {name: "cinderella_server_requests_total", help: "HTTP API requests admitted and served."},
+	CSrvRejected:       {name: "cinderella_server_rejected_total", help: "HTTP API requests rejected with 503 (inflight bound reached, or an admin write during drain)."},
+	CSrvErrors:         {name: "cinderella_server_errors_total", help: "HTTP API requests answered with a 4xx/5xx error status."},
+	CGroupCommits:      {name: "cinderella_server_group_commits_total", help: "Group-commit batches flushed (one WAL fsync each, at most)."},
+	CGroupCommitOps:    {name: "cinderella_server_group_commit_ops_total", help: "Acknowledged operations covered by group-commit batches."},
+	CBytesInHTTP:       {name: "cinderella_server_bytes_in_total", label: `proto="http"`, help: "Request bytes received, by protocol."},
+	CBytesInWire:       {name: "cinderella_server_bytes_in_total", label: `proto="binary"`, help: "Request bytes received, by protocol."},
+	CBytesOutHTTP:      {name: "cinderella_server_bytes_out_total", label: `proto="http"`, help: "Response bytes sent, by protocol."},
+	CBytesOutWire:      {name: "cinderella_server_bytes_out_total", label: `proto="binary"`, help: "Response bytes sent, by protocol."},
+	CWireFrames:        {name: "cinderella_wire_frames_total", help: "Binary wire protocol frames served."},
+	CWireOps:           {name: "cinderella_wire_ops_total", help: "Operations applied through the binary wire protocol."},
+	CWireErrors:        {name: "cinderella_wire_errors_total", help: "Binary wire frames answered with an error status (or dropped as malformed)."},
+	CWireRejected:      {name: "cinderella_wire_rejected_total", help: "Binary wire write frames rejected with a retryable status (draining)."},
+	CTraceSampled:      {name: "cinderella_trace_sampled_total", help: "Root query spans captured by the 1-in-N span tracer."},
+	CSlowQueries:       {name: "cinderella_slow_queries_total", help: "Queries at or over the slow-query threshold, retained in the slow log."},
+	CReclusterRounds:   {name: "cinderella_recluster_rounds_total", help: "Reclusterer rounds completed (one heat-map victim scan each)."},
+	CReclusterBatches:  {name: "cinderella_recluster_batches_total", help: "Victim-partition migration batches executed by the reclusterer."},
+	CReclusterMoves:    {name: "cinderella_recluster_moves_total", help: "Entities relocated to another partition by reclustering."},
+	CReclusterExamined: {name: "cinderella_recluster_examined_total", help: "Entities re-rated by the reclusterer (moved or kept in place)."},
+	CTierFreezes:       {name: "cinderella_tier_freezes_total", help: "Partitions frozen into the compressed cold storage tier."},
+	CTierThaws:         {name: "cinderella_tier_thaws_total", help: "Partitions thawed back into the hot tier (mutation or reheat)."},
+}
+
+// gaugeDefs declares the stored gauges. A per-shard gauge is written
+// through each shard's view, and the family reports the root handle's
+// value plus every shard's.
+var gaugeDefs = [numGauges]metricDef{
+	GPartitions:     {name: "cinderella_partitions", help: "Current partition count.", perShard: true},
+	GSnapshotEpoch:  {name: "cinderella_snapshot_epoch", help: "Snapshot publications of the lock-free read path (summed over shards).", perShard: true},
+	GServerInflight: {name: "cinderella_server_inflight", help: "HTTP API requests currently executing."},
+	GWireConns:      {name: "cinderella_wire_connections", help: "Open binary wire protocol connections."},
+}
+
+// histDefs declares the histograms. scale divides raw samples on
+// export: 1e9 turns nanoseconds into seconds (the Prometheus duration
+// convention); 1 leaves operation counts as they are.
+var histDefs = [numHists]struct {
+	name, help string
+	bounds     []int64
+	scale      float64
+}{
+	HInsertNs:    {"cinderella_insert_duration_seconds", "Wall time of table inserts (placement incl. splits).", latencyBoundsNs, 1e9},
+	HQueryNs:     {"cinderella_query_duration_seconds", "Wall time of table queries (pruning + scan + merge).", latencyBoundsNs, 1e9},
+	HWALAppendNs: {"cinderella_wal_append_duration_seconds", "Wall time of WAL record appends.", latencyBoundsNs, 1e9},
+	HWALSyncNs:   {"cinderella_wal_sync_duration_seconds", "Wall time of WAL fsyncs.", latencyBoundsNs, 1e9},
+	HServerNs:    {"cinderella_server_request_duration_seconds", "Wall time of served HTTP API requests.", latencyBoundsNs, 1e9},
+	HCommitBatch: {"cinderella_server_group_commit_batch_size", "Operations acknowledged per group-commit batch.", batchBounds, 1},
+	HWireBatch:   {"cinderella_wire_batch_ops", "Operations per binary wire batch frame.", batchBounds, 1},
 }
 
 // effSample is one query's contribution to the windowed estimator.
@@ -226,68 +252,39 @@ type Options struct {
 	SlowLogCap int
 	// TraceRecentCap bounds the recent-sampled-traces ring. Default 64.
 	TraceRecentCap int
-	// DisableHeat turns off the per-partition heat map. It exists only
-	// so overhead benchmarks can measure an untraced baseline; the heat
-	// map is meant to stay on unconditionally in production.
-	DisableHeat bool
 }
 
 // Registry aggregates live telemetry for one table (or one process — it
 // is safe for concurrent use by any number of producers and readers).
 //
 // A Registry is a handle over shared state: ShardView returns additional
-// handles that feed the same aggregate totals but also attribute a core
-// subset of the counters to one shard and stamp the shard id onto trace
-// events. All handles of one registry family are interchangeable for
-// reading; producers hold the handle for the shard they belong to.
+// handles that feed the same aggregate totals but also keep the
+// per-shard rows of the counter and gauge tables for one shard and
+// stamp the shard id onto trace events. All handles of one registry
+// family are interchangeable for reading; producers hold the handle for
+// the shard they belong to.
 type Registry struct {
 	*state
 	shard int32      // shard id stamped on trace events; -1 = the root handle
-	slot  *shardSlot // per-shard counter block; nil on the root handle
+	slot  *shardSlot // per-shard block; nil on the root handle
 }
 
 // state is the shared body behind every handle of one registry family.
 type state struct {
-	counters   [numCounters]atomic.Int64
-	partitions atomic.Int64 // gauge: current partition count (root-handle writers)
+	counters [numCounters]atomic.Int64
+	gauges   [numGauges]atomic.Int64 // the root handle's gauge values
+	hists    [numHists]histogram
 
-	// Per-shard counter blocks, created by ShardView. Append-only under
-	// shardMu; the slots themselves are atomic.
+	// Per-shard blocks, created by ShardView and kept ordered by id.
+	// The slice is guarded by shardMu; the blocks themselves are atomic.
 	shardMu sync.Mutex
 	shards  []*shardSlot
 
-	// Server gauge, maintained by internal/server: requests currently
-	// executing.
-	srvInflight atomic.Int64
+	// The windowed EFFICIENCY estimate (Definition 1). The cumulative
+	// one is the CEntitiesReturned / CEntitiesScanned counter pair.
+	effWindow *ring[effSample]
 
-	// snapEpoch is the table's snapshot-publication epoch: how many times
-	// a mutation republished partition snapshots for lock-free readers.
-	snapEpoch atomic.Int64
-
-	// wireConns is the open-binary-connections gauge, maintained by
-	// internal/wire.
-	wireConns atomic.Int64
-
-	insertNs    Histogram
-	queryNs     Histogram
-	walAppendNs Histogram
-	walSyncNs   Histogram
-	serverNs    Histogram
-	batchSize   Histogram // group-commit batch sizes (unit: operations)
-	wireBatch   Histogram // binary wire batch sizes (unit: operations per frame)
-
-	// Streaming EFFICIENCY (Definition 1). The cumulative sums use the
-	// paper's entity-count SIZE() units, mirroring the offline
-	// metrics.Efficiency computation exactly; the byte-valued sums are
-	// kept in the counters (CBytesRelevant / CBytesRead).
-	effMu       sync.Mutex
-	effRelevant int64
-	effRead     int64
-	effRing     []effSample
-	effNext     int
-	effLen      int
-
-	trace *Trace
+	trace *ring[Event] // nil when Options.TraceCap < 0
 
 	// Query tracing (span.go) and the partition heat map (heat.go).
 	// traceEvery is immutable after New (0 = tracer disabled); slowNs is
@@ -296,40 +293,28 @@ type state struct {
 	sampleTick atomic.Uint64
 	traceID    atomic.Uint64
 	slowNs     atomic.Int64
-	slow       *spanRing
-	recent     *spanRing
-	heat       *heatMap // nil when Options.DisableHeat
+	slow       *ring[*QuerySpan]
+	recent     *ring[*QuerySpan]
+	heat       *heatMap
 
 	// Reclustering support (recluster.go): the recent query-shape mix
-	// the workload-blended rating is derived from, the victim-outcome
-	// ring rendered on /metrics and /debug/recluster, and the live
-	// status provider installed by the recluster manager. qmix is nil
-	// when the heat map is disabled — both exist for the reclusterer.
-	qmix            *qmixRing
-	reclMu          sync.Mutex
-	reclOutcomes    []ReclusterOutcome
-	reclNext        int
-	reclLen         int
-	reclusterStatus atomic.Pointer[func() any]
+	// the workload-blended rating is derived from, and the victim-outcome
+	// ring rendered on /metrics and /debug/recluster.
+	qmix     *ring[qmixShape]
+	outcomes *ring[ReclusterOutcome]
 
-	// tierStatus is the live status provider behind /debug/tier,
-	// installed by the tiering manager (internal/tier).
-	tierStatus atomic.Pointer[func() any]
+	// status holds the live status providers behind /debug/<name>
+	// (name → func() any), installed by SetStatus.
+	status sync.Map
 }
 
-// shardSlot attributes a core counter subset to one shard. The aggregate
-// totals in state.counters remain exact; slots are an additional
-// attribution dimension, not a partition of every counter.
+// shardSlot is one shard's block: only the perShard rows of the counter
+// and gauge tables are written. The aggregate counters in state remain
+// exact; a slot is an additional attribution dimension.
 type shardSlot struct {
-	id          int32
-	inserts     atomic.Int64
-	deletes     atomic.Int64
-	updates     atomic.Int64
-	queries     atomic.Int64
-	walAppends  atomic.Int64
-	scanDecoded atomic.Int64 // records decoded by this shard's query scans
-	scanSkipped atomic.Int64 // records its kernel pruned without decoding
-	partitions  atomic.Int64 // gauge: this shard's partition count
+	id       int32
+	counters [numCounters]atomic.Int64
+	gauges   [numGauges]atomic.Int64
 }
 
 // New returns a Registry sized by opts.
@@ -350,48 +335,47 @@ func New(opts Options) *Registry {
 		opts.TraceRecentCap = 64
 	}
 	st := &state{
-		insertNs:    newLatencyHistogram(),
-		queryNs:     newLatencyHistogram(),
-		walAppendNs: newLatencyHistogram(),
-		walSyncNs:   newLatencyHistogram(),
-		serverNs:    newLatencyHistogram(),
-		batchSize:   newBatchHistogram(),
-		wireBatch:   newBatchHistogram(),
-		effRing:     make([]effSample, opts.EffWindow),
-		slow:        newSpanRing(opts.SlowLogCap),
-		recent:      newSpanRing(opts.TraceRecentCap),
+		effWindow: newRing[effSample](opts.EffWindow),
+		slow:      newRing[*QuerySpan](opts.SlowLogCap),
+		recent:    newRing[*QuerySpan](opts.TraceRecentCap),
+		heat:      newHeatMap(),
+		qmix:      newRing[qmixShape](qmixCap),
+		outcomes:  newRing[ReclusterOutcome](reclusterOutcomeCap),
+	}
+	for h, d := range histDefs {
+		st.hists[h] = newHistogram(d.bounds)
 	}
 	if opts.TraceSampleEvery > 0 {
 		st.traceEvery = int64(opts.TraceSampleEvery)
 	}
-	if !opts.DisableHeat {
-		st.heat = newHeatMap()
-		st.qmix = newQmixRing(qmixCap)
-	}
 	if opts.TraceCap > 0 {
-		st.trace = newTrace(opts.TraceCap)
+		st.trace = newRing[Event](opts.TraceCap)
 	}
 	return &Registry{state: st, shard: -1}
 }
 
 // ShardView returns a handle that feeds this registry's aggregate state
-// and additionally attributes inserts/deletes/updates/queries/WAL appends
-// and the partition gauge to shard id, stamping the id onto trace events.
-// Repeated calls with the same id share one slot. Nil-safe (returns nil).
+// and additionally keeps the perShard counter and gauge rows for shard
+// id, stamping the id onto trace events. Repeated calls with the same
+// id share one slot. Nil-safe (returns nil).
 func (r *Registry) ShardView(id int) *Registry {
 	if r == nil {
 		return nil
 	}
 	r.shardMu.Lock()
 	defer r.shardMu.Unlock()
-	for _, s := range r.shards {
-		if s.id == int32(id) {
-			return &Registry{state: r.state, shard: int32(id), slot: s}
-		}
+	i, found := slices.BinarySearchFunc(r.shards, int32(id), func(s *shardSlot, id int32) int { return cmp.Compare(s.id, id) })
+	if !found {
+		r.shards = slices.Insert(r.shards, i, &shardSlot{id: int32(id)})
 	}
-	s := &shardSlot{id: int32(id)}
-	r.shards = append(r.shards, s)
-	return &Registry{state: r.state, shard: int32(id), slot: s}
+	return &Registry{state: r.state, shard: int32(id), slot: r.shards[i]}
+}
+
+// shardSlots returns the per-shard blocks, ordered by shard id.
+func (r *Registry) shardSlots() []*shardSlot {
+	r.shardMu.Lock()
+	defer r.shardMu.Unlock()
+	return slices.Clone(r.shards)
 }
 
 // Add increments counter c by n. Nil-safe no-op.
@@ -400,21 +384,8 @@ func (r *Registry) Add(c Counter, n int64) {
 		return
 	}
 	r.counters[c].Add(n)
-	if r.slot != nil {
-		switch c {
-		case CInserts:
-			r.slot.inserts.Add(n)
-		case CDeletes:
-			r.slot.deletes.Add(n)
-		case CUpdates:
-			r.slot.updates.Add(n)
-		case CWALAppends:
-			r.slot.walAppends.Add(n)
-		case CScanDecoded:
-			r.slot.scanDecoded.Add(n)
-		case CScanDecodeSkipped:
-			r.slot.scanSkipped.Add(n)
-		}
+	if r.slot != nil && counterDefs[c].perShard {
+		r.slot.counters[c].Add(n)
 	}
 }
 
@@ -426,141 +397,59 @@ func (r *Registry) Counter(c Counter) int64 {
 	return r.counters[c].Load()
 }
 
-// SetPartitions updates the current-partition-count gauge. A shard view
-// writes its shard's gauge; the aggregate reported by Partitions is the
-// root handle's gauge plus the per-shard gauges. Nil-safe.
-func (r *Registry) SetPartitions(n int64) {
+// SetGauge sets gauge g to v. Through a shard view a per-shard gauge
+// sets that shard's value. Nil-safe.
+func (r *Registry) SetGauge(g Gauge, v int64) {
 	if r == nil {
 		return
 	}
-	if r.slot != nil {
-		r.slot.partitions.Store(n)
-		return
-	}
-	r.partitions.Store(n)
+	r.gauge(g).Store(v)
 }
 
-// Partitions returns the partition-count gauge summed across the
-// root-handle writer and all shard views.
-func (r *Registry) Partitions() int64 {
-	if r == nil {
-		return 0
-	}
-	n := r.partitions.Load()
-	r.shardMu.Lock()
-	for _, s := range r.shards {
-		n += s.partitions.Load()
-	}
-	r.shardMu.Unlock()
-	return n
-}
-
-// ObserveInsertNs records one insert's wall time. Nil-safe.
-func (r *Registry) ObserveInsertNs(ns int64) {
-	if r == nil {
-		return
-	}
-	r.insertNs.Observe(ns)
-}
-
-// ObserveWALAppendNs records one WAL append's wall time. Nil-safe.
-func (r *Registry) ObserveWALAppendNs(ns int64) {
-	if r == nil {
-		return
-	}
-	r.walAppendNs.Observe(ns)
-}
-
-// ObserveWALSyncNs records one WAL fsync's wall time. Nil-safe.
-func (r *Registry) ObserveWALSyncNs(ns int64) {
-	if r == nil {
-		return
-	}
-	r.walSyncNs.Observe(ns)
-}
-
-// ObserveServerNs records one served HTTP request's wall time. Nil-safe.
-func (r *Registry) ObserveServerNs(ns int64) {
-	if r == nil {
-		return
-	}
-	r.serverNs.Observe(ns)
-}
-
-// ObserveBatchSize records one group-commit batch's operation count.
+// AddGauge adjusts gauge g by delta (+1 on open, -1 on close, …).
 // Nil-safe.
-func (r *Registry) ObserveBatchSize(ops int64) {
+func (r *Registry) AddGauge(g Gauge, delta int64) {
 	if r == nil {
 		return
 	}
-	r.batchSize.Observe(ops)
+	r.gauge(g).Add(delta)
 }
 
-// ObserveWireBatch records one binary wire batch frame's operation
-// count. Nil-safe.
-func (r *Registry) ObserveWireBatch(ops int64) {
-	if r == nil {
-		return
+// gauge is the cell this handle writes g to.
+func (r *Registry) gauge(g Gauge) *atomic.Int64 {
+	if r.slot != nil && gaugeDefs[g].perShard {
+		return &r.slot.gauges[g]
 	}
-	r.wireBatch.Observe(ops)
+	return &r.gauges[g]
 }
 
-// AddWireConns adjusts the open-binary-connections gauge by delta
-// (+1 on accept, -1 on close). Nil-safe.
-func (r *Registry) AddWireConns(delta int64) {
-	if r == nil {
-		return
-	}
-	r.wireConns.Add(delta)
-}
-
-// WireConns returns the number of currently open binary wire
-// connections.
-func (r *Registry) WireConns() int64 {
+// Gauge returns gauge g: for a per-shard gauge, the root handle's value
+// plus every shard's. 0 on a nil registry.
+func (r *Registry) Gauge(g Gauge) int64 {
 	if r == nil {
 		return 0
 	}
-	return r.wireConns.Load()
+	v := r.gauges[g].Load()
+	if gaugeDefs[g].perShard {
+		for _, s := range r.shardSlots() {
+			v += s.gauges[g].Load()
+		}
+	}
+	return v
 }
 
-// AddServerInflight adjusts the executing-requests gauge by delta
-// (+1 on admit, -1 on completion). Nil-safe.
-func (r *Registry) AddServerInflight(delta int64) {
+// Observe records one sample in histogram h (nanoseconds for the *Ns
+// histograms, operation counts for the batch ones). Nil-safe.
+func (r *Registry) Observe(h Hist, v int64) {
 	if r == nil {
 		return
 	}
-	r.srvInflight.Add(delta)
-}
-
-// ServerInflight returns the number of requests currently executing.
-func (r *Registry) ServerInflight() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.srvInflight.Load()
-}
-
-// SetSnapshotEpoch updates the snapshot-publication-epoch gauge (the
-// table layer calls it after publishing new partition snapshots).
-// Nil-safe.
-func (r *Registry) SetSnapshotEpoch(n int64) {
-	if r == nil {
-		return
-	}
-	r.snapEpoch.Store(n)
-}
-
-// SnapshotEpoch returns the snapshot-publication-epoch gauge.
-func (r *Registry) SnapshotEpoch() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.snapEpoch.Load()
+	r.hists[h].observe(v)
 }
 
 // NoteQuery folds one executed query into the registry: the pruning and
-// volume counters, the query latency histogram, and the streaming
-// EFFICIENCY estimator.
+// volume counters, the query latency histogram, and the EFFICIENCY
+// window.
 //
 // relevant and read are Definition 1's per-query numerator and
 // denominator in entity-count units: the number of entities relevant to
@@ -573,27 +462,17 @@ func (r *Registry) NoteQuery(touched, pruned, relevant, read, bytesRelevant, byt
 	if r == nil {
 		return
 	}
-	r.counters[CQueries].Add(1)
-	r.counters[CPartitionsScanned].Add(touched)
-	r.counters[CPartitionsPruned].Add(pruned)
-	r.counters[CEntitiesReturned].Add(relevant)
-	r.counters[CEntitiesScanned].Add(read)
-	r.counters[CBytesRelevant].Add(bytesRelevant)
-	r.counters[CBytesRead].Add(bytesRead)
-	r.queryNs.Observe(ns)
-	if r.slot != nil {
-		r.slot.queries.Add(1)
-	}
-
-	r.effMu.Lock()
-	r.effRelevant += relevant
-	r.effRead += read
-	r.effRing[r.effNext] = effSample{relevant: relevant, read: read}
-	r.effNext = (r.effNext + 1) % len(r.effRing)
-	if r.effLen < len(r.effRing) {
-		r.effLen++
-	}
-	r.effMu.Unlock()
+	r.Add(CQueries, 1)
+	r.Add(CPartitionsScanned, touched)
+	r.Add(CPartitionsPruned, pruned)
+	// Denominators before numerators: the efficiency readers load the
+	// numerator first, so a concurrent reader never sees a ratio above 1.
+	r.Add(CEntitiesScanned, read)
+	r.Add(CEntitiesReturned, relevant)
+	r.Add(CBytesRead, bytesRead)
+	r.Add(CBytesRelevant, bytesRelevant)
+	r.hists[HQueryNs].observe(ns)
+	r.effWindow.add(effSample{relevant: relevant, read: read})
 }
 
 // Efficiency returns the cumulative streaming EFFICIENCY (Definition 1)
@@ -604,10 +483,9 @@ func (r *Registry) Efficiency() float64 {
 	if r == nil {
 		return 1
 	}
-	r.effMu.Lock()
-	rel, read := r.effRelevant, r.effRead
-	r.effMu.Unlock()
-	return effRatio(rel, read)
+	// Arguments evaluate left to right, so the numerator is read first;
+	// see NoteQuery.
+	return effRatio(r.Counter(CEntitiesReturned), r.Counter(CEntitiesScanned))
 }
 
 // WindowEfficiency returns the EFFICIENCY over the last-N-queries window
@@ -616,15 +494,13 @@ func (r *Registry) WindowEfficiency() (eff float64, queries int) {
 	if r == nil {
 		return 1, 0
 	}
-	r.effMu.Lock()
+	samples, _ := r.effWindow.dump()
 	var rel, read int64
-	for i := 0; i < r.effLen; i++ {
-		rel += r.effRing[i].relevant
-		read += r.effRing[i].read
+	for _, s := range samples {
+		rel += s.relevant
+		read += s.read
 	}
-	n := r.effLen
-	r.effMu.Unlock()
-	return effRatio(rel, read), n
+	return effRatio(rel, read), len(samples)
 }
 
 // EfficiencyBytes returns the cumulative EFFICIENCY with SIZE() in
@@ -654,13 +530,19 @@ func (r *Registry) TraceEvent(ev Event) {
 	r.trace.add(ev)
 }
 
-// TraceDump snapshots the event trace, oldest first. Nil (and
-// trace-disabled) registries return nil.
+// TraceDump snapshots the event trace, oldest first, each event stamped
+// with its sequence number. Nil (and trace-disabled) registries return
+// nil.
 func (r *Registry) TraceDump() []Event {
 	if r == nil || r.trace == nil {
 		return nil
 	}
-	return r.trace.Dump()
+	evs, total := r.trace.dump()
+	first := total - uint64(len(evs))
+	for i := range evs {
+		evs[i].Seq = first + uint64(i)
+	}
+	return evs
 }
 
 // TraceSeq returns the total number of events ever traced (the ring may
@@ -669,10 +551,10 @@ func (r *Registry) TraceSeq() uint64 {
 	if r == nil || r.trace == nil {
 		return 0
 	}
-	return r.trace.Seq()
+	return r.trace.total()
 }
 
-// HistogramSnapshot is the JSON-friendly state of one latency histogram.
+// HistogramSnapshot is the JSON-friendly state of one histogram.
 type HistogramSnapshot struct {
 	Count    int64   `json:"count"`
 	MeanNs   float64 `json:"mean_ns"`
@@ -680,62 +562,23 @@ type HistogramSnapshot struct {
 	Counts   []int64 `json:"counts"` // len(BoundsNs)+1, last is overflow
 }
 
-// ShardSnapshot is the per-shard attribution block of a Snapshot.
-type ShardSnapshot struct {
-	Shard       int32 `json:"shard"`
-	Inserts     int64 `json:"inserts"`
-	Deletes     int64 `json:"deletes"`
-	Updates     int64 `json:"updates"`
-	Queries     int64 `json:"queries"`
-	WALAppends  int64 `json:"wal_appends"`
-	ScanDecoded int64 `json:"scan_decoded"`
-	ScanSkipped int64 `json:"scan_decode_skipped"`
-	Partitions  int64 `json:"partitions"`
-}
-
 // Snapshot is a point-in-time JSON-serializable view of the registry,
-// published under "cinderella" at /debug/vars.
+// published under "cinderella" at /debug/vars. Counters are keyed by
+// sample name, gauges and histograms by family name, and Shards maps a
+// shard id to its per-shard series keyed by family name
+// (cinderella_shard_…).
 type Snapshot struct {
 	Counters         map[string]int64             `json:"counters"`
-	Partitions       int64                        `json:"partitions"`
-	ServerInflight   int64                        `json:"server_inflight"`
-	WireConns        int64                        `json:"wire_connections"`
-	SnapshotEpoch    int64                        `json:"snapshot_epoch"`
+	Gauges           map[string]int64             `json:"gauges"`
+	Histograms       map[string]HistogramSnapshot `json:"histograms"`
+	Shards           map[int32]map[string]int64   `json:"shards,omitempty"`
 	Efficiency       float64                      `json:"efficiency"`
 	EfficiencyBytes  float64                      `json:"efficiency_bytes"`
 	WindowEfficiency float64                      `json:"window_efficiency"`
 	WindowQueries    int                          `json:"window_queries"`
-	Histograms       map[string]HistogramSnapshot `json:"histograms"`
 	TraceEvents      uint64                       `json:"trace_events"`
-	Shards           []ShardSnapshot              `json:"shards,omitempty"`
 	SlowThresholdNs  int64                        `json:"slow_threshold_ns,omitempty"`
 	Heat             []PartitionHeat              `json:"heat,omitempty"`
-}
-
-// ShardSnapshots returns the per-shard attribution blocks, ordered by
-// shard id. Empty when no shard views exist.
-func (r *Registry) ShardSnapshots() []ShardSnapshot {
-	if r == nil {
-		return nil
-	}
-	r.shardMu.Lock()
-	out := make([]ShardSnapshot, 0, len(r.shards))
-	for _, s := range r.shards {
-		out = append(out, ShardSnapshot{
-			Shard:       s.id,
-			Inserts:     s.inserts.Load(),
-			Deletes:     s.deletes.Load(),
-			Updates:     s.updates.Load(),
-			Queries:     s.queries.Load(),
-			WALAppends:  s.walAppends.Load(),
-			ScanDecoded: s.scanDecoded.Load(),
-			ScanSkipped: s.scanSkipped.Load(),
-			Partitions:  s.partitions.Load(),
-		})
-	}
-	r.shardMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Shard < out[j].Shard })
-	return out
 }
 
 // Snapshot captures the registry. Nil registries return a zero snapshot.
@@ -745,47 +588,48 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s := Snapshot{
 		Counters:        make(map[string]int64, int(numCounters)),
-		Partitions:      r.Partitions(),
-		ServerInflight:  r.ServerInflight(),
-		WireConns:       r.WireConns(),
-		SnapshotEpoch:   r.SnapshotEpoch(),
+		Gauges:          make(map[string]int64, int(numGauges)),
+		Histograms:      make(map[string]HistogramSnapshot, int(numHists)),
+		Shards:          make(map[int32]map[string]int64),
 		Efficiency:      r.Efficiency(),
 		EfficiencyBytes: r.EfficiencyBytes(),
-		Histograms:      make(map[string]HistogramSnapshot, 6),
 		TraceEvents:     r.TraceSeq(),
+		SlowThresholdNs: int64(r.SlowThreshold()),
+		Heat:            r.HeatSnapshot(),
 	}
 	s.WindowEfficiency, s.WindowQueries = r.WindowEfficiency()
-	s.Shards = r.ShardSnapshots()
-	s.SlowThresholdNs = int64(r.SlowThreshold())
-	s.Heat = r.HeatSnapshot()
-	for c := Counter(0); c < numCounters; c++ {
-		s.Counters[counterNames[c]] = r.counters[c].Load()
+	for c, d := range counterDefs {
+		s.Counters[d.sample()] = r.Counter(Counter(c))
 	}
-	for _, h := range r.histograms() {
-		s.Histograms[h.name] = h.hist.snapshot()
+	for g, d := range gaugeDefs {
+		s.Gauges[d.name] = r.Gauge(Gauge(g))
 	}
+	for h, d := range histDefs {
+		s.Histograms[d.name] = r.hists[h].snapshot()
+	}
+	slots := r.shardSlots()
+	for _, slot := range slots {
+		s.Shards[slot.id] = make(map[string]int64)
+	}
+	shardRows(func(d metricDef, _ string, cell func(*shardSlot) *atomic.Int64) {
+		for _, slot := range slots {
+			s.Shards[slot.id][d.shardName()] = cell(slot).Load()
+		}
+	})
 	return s
 }
 
-// namedHist pairs a histogram with its Prometheus family name. scale
-// divides raw sample values on export: 1e9 turns nanosecond samples
-// into seconds (the Prometheus duration convention); 1 leaves unit-less
-// samples (batch sizes) untouched.
-type namedHist struct {
-	name  string
-	help  string
-	hist  *Histogram
-	scale float64
-}
-
-func (r *Registry) histograms() []namedHist {
-	return []namedHist{
-		{"cinderella_insert_duration_seconds", "Wall time of table inserts (placement incl. splits).", &r.insertNs, 1e9},
-		{"cinderella_query_duration_seconds", "Wall time of table queries (pruning + scan + merge).", &r.queryNs, 1e9},
-		{"cinderella_wal_append_duration_seconds", "Wall time of WAL record appends.", &r.walAppendNs, 1e9},
-		{"cinderella_wal_sync_duration_seconds", "Wall time of WAL fsyncs.", &r.walSyncNs, 1e9},
-		{"cinderella_server_request_duration_seconds", "Wall time of served HTTP API requests (admission wait incl.).", &r.serverNs, 1e9},
-		{"cinderella_server_group_commit_batch_size", "Operations acknowledged per group-commit batch.", &r.batchSize, 1},
-		{"cinderella_wire_batch_ops", "Operations per binary wire batch frame.", &r.wireBatch, 1},
+// shardRows calls f for each perShard row of the counter and gauge
+// tables, with its Prometheus type and its cell in a shard's block.
+func shardRows(f func(d metricDef, typ string, cell func(*shardSlot) *atomic.Int64)) {
+	for c, d := range counterDefs {
+		if d.perShard {
+			f(d, "counter", func(s *shardSlot) *atomic.Int64 { return &s.counters[c] })
+		}
+	}
+	for g, d := range gaugeDefs {
+		if d.perShard {
+			f(d, "gauge", func(s *shardSlot) *atomic.Int64 { return &s.gauges[g] })
+		}
 	}
 }

@@ -16,16 +16,16 @@ import (
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Add(CInserts, 1)
-	r.SetPartitions(7)
-	r.ObserveInsertNs(100)
-	r.ObserveWALAppendNs(100)
-	r.ObserveWALSyncNs(100)
+	r.SetGauge(GPartitions, 7)
+	r.Observe(HInsertNs, 100)
+	r.Observe(HWALAppendNs, 100)
+	r.Observe(HWALSyncNs, 100)
 	r.NoteQuery(1, 2, 3, 4, 5, 6, 7)
 	r.TraceEvent(Event{Kind: EvInsert})
 	if got := r.Counter(CInserts); got != 0 {
 		t.Fatalf("nil Counter = %d, want 0", got)
 	}
-	if got := r.Partitions(); got != 0 {
+	if got := r.Gauge(GPartitions); got != 0 {
 		t.Fatalf("nil Partitions = %d, want 0", got)
 	}
 	if got := r.Efficiency(); got != 1 {
@@ -54,8 +54,8 @@ func TestCountersAndGauge(t *testing.T) {
 	if got := r.Counter(CRatings); got != 8 {
 		t.Fatalf("CRatings = %d, want 8", got)
 	}
-	r.SetPartitions(12)
-	if got := r.Partitions(); got != 12 {
+	r.SetGauge(GPartitions, 12)
+	if got := r.Gauge(GPartitions); got != 12 {
 		t.Fatalf("Partitions = %d, want 12", got)
 	}
 }
@@ -99,15 +99,15 @@ func TestEfficiencyStreaming(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := newLatencyHistogram()
-	h.Observe(500)           // ≤ 1µs bucket
-	h.Observe(1_000)         // boundary: still ≤ 1µs
-	h.Observe(1_001)         // 2µs bucket
-	h.Observe(2_000_000_000) // beyond 1s: overflow
-	if got := h.Count(); got != 4 {
+	h := newHistogram(latencyBoundsNs)
+	h.observe(500)           // ≤ 1µs bucket
+	h.observe(1_000)         // boundary: still ≤ 1µs
+	h.observe(1_001)         // 2µs bucket
+	h.observe(2_000_000_000) // beyond 1s: overflow
+	s := h.snapshot()
+	if got := s.Count; got != 4 {
 		t.Fatalf("Count = %d, want 4", got)
 	}
-	s := h.snapshot()
 	if s.Counts[0] != 2 {
 		t.Fatalf("first bucket = %d, want 2", s.Counts[0])
 	}
@@ -221,8 +221,8 @@ func TestTraceConcurrentWriters(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	r := New(Options{})
 	r.Add(CInserts, 2)
-	r.SetPartitions(3)
-	r.ObserveInsertNs(1500)
+	r.SetGauge(GPartitions, 3)
+	r.Observe(HInsertNs, 1500)
 	r.NoteQuery(2, 1, 4, 9, 40, 90, 2500)
 	r.TraceEvent(Event{Kind: EvSplit, From: 1, To: 2, To2: 3})
 
@@ -237,8 +237,8 @@ func TestSnapshotJSON(t *testing.T) {
 	if back.Counters["cinderella_inserts_total"] != 2 {
 		t.Fatalf("round-tripped inserts = %d, want 2", back.Counters["cinderella_inserts_total"])
 	}
-	if back.Partitions != 3 {
-		t.Fatalf("round-tripped partitions = %d, want 3", back.Partitions)
+	if back.Gauges["cinderella_partitions"] != 3 {
+		t.Fatalf("round-tripped partitions = %d, want 3", back.Gauges["cinderella_partitions"])
 	}
 	if want := float64(4) / float64(9); back.Efficiency != want {
 		t.Fatalf("round-tripped efficiency = %v, want %v", back.Efficiency, want)
@@ -254,9 +254,9 @@ func TestSnapshotJSON(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	r := New(Options{})
 	r.Add(CRatings, 42)
-	r.SetPartitions(5)
+	r.SetGauge(GPartitions, 5)
 	r.NoteQuery(1, 3, 2, 4, 20, 40, 1000)
-	r.ObserveWALSyncNs(3_000_000) // lands in the 10ms bucket
+	r.Observe(HWALSyncNs, 3_000_000) // lands in the 10ms bucket
 
 	srv := httptest.NewServer(r.Mux())
 	defer srv.Close()
@@ -333,4 +333,82 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp3.StatusCode != 200 {
 		t.Fatalf("GET /debug/pprof/: status %d", resp3.StatusCode)
 	}
+}
+
+// TestSnapshotEpochSumsShards: the snapshot epoch is a per-shard gauge.
+// Each shard's table publishes its own epoch through its view, and the
+// family reports their sum, so under several shards it neither flips
+// between them nor goes backwards.
+func TestSnapshotEpochSumsShards(t *testing.T) {
+	r := New(Options{})
+	r.ShardView(0).SetGauge(GSnapshotEpoch, 5)
+	r.ShardView(1).SetGauge(GSnapshotEpoch, 3)
+	var buf strings.Builder
+	r.WriteMetrics(&buf)
+	for _, want := range []string{
+		"\ncinderella_snapshot_epoch 8\n",
+		"\ncinderella_shard_snapshot_epoch{shard=\"0\"} 5\n",
+		"\ncinderella_shard_snapshot_epoch{shard=\"1\"} 3\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+	snap := r.Snapshot()
+	if got := snap.Gauges["cinderella_snapshot_epoch"]; got != 8 {
+		t.Errorf("expvar snapshot epoch = %d, want 8", got)
+	}
+	if got := snap.Shards[0]["cinderella_shard_snapshot_epoch"]; got != 5 {
+		t.Errorf("expvar shard 0 snapshot epoch = %d, want 5", got)
+	}
+}
+
+// TestHotTelemetryAllocFree: the calls the insert and query paths make
+// on every operation allocate nothing on a shard view.
+func TestHotTelemetryAllocFree(t *testing.T) {
+	sv := New(Options{}).ShardView(1)
+	for name, f := range map[string]func(){
+		"Add":        func() { sv.Add(CInserts, 1) },
+		"Observe":    func() { sv.Observe(HInsertNs, 1500) },
+		"SetGauge":   func() { sv.SetGauge(GPartitions, 7) },
+		"TraceEvent": func() { sv.TraceEvent(Event{Kind: EvInsert, Entity: 1, To: 2}) },
+		"NoteQuery":  func() { sv.NoteQuery(1, 2, 3, 4, 5, 6, 7) },
+	} {
+		if n := testing.AllocsPerRun(1000, f); n != 0 {
+			t.Errorf("%s allocates %v per call, want 0", name, n)
+		}
+	}
+}
+
+// TestEfficiencyNeverAboveOneUnderWriters: EFFICIENCY is stored once, as
+// the entity and byte counter pairs. Readers take the numerator first and
+// NoteQuery adds the denominator first, so a reader racing writers whose
+// every query is fully relevant never sees a ratio above 1.
+func TestEfficiencyNeverAboveOneUnderWriters(t *testing.T) {
+	r := New(Options{})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sv := r.ShardView(w)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					sv.NoteQuery(1, 0, 3, 3, 30, 30, 1)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20000; i++ {
+		if e, b := r.Efficiency(), r.EfficiencyBytes(); e > 1 || b > 1 {
+			t.Errorf("read %d: Efficiency = %v, EfficiencyBytes = %v, want <= 1", i, e, b)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -1,15 +1,13 @@
 package obs
 
 // Reclustering support: the query-shape mix recorder (what does the
-// recent workload ask for?), the victim-outcome ring behind the
-// /metrics efficiency-before/after gauges, and the /debug/recluster
-// status-provider hook the recluster manager installs. The data lives
+// recent workload ask for?) and the victim-outcome ring behind the
+// /metrics efficiency-before/after gauges. The data lives
 // here rather than in internal/recluster so the ops surface (metrics,
 // debug endpoints) can render it without importing the control loop.
 
 import (
 	"sort"
-	"sync"
 
 	"cinderella/internal/synopsis"
 )
@@ -27,35 +25,15 @@ type qmixShape struct {
 	attrs []int
 }
 
-type qmixRing struct {
-	mu   sync.Mutex
-	buf  []qmixShape
-	next int
-	len  int
-}
-
-func newQmixRing(n int) *qmixRing {
-	return &qmixRing{buf: make([]qmixShape, n)}
-}
-
 // NoteQueryShape records one query's attribute set into the recent-mix
 // ring, stamped with this handle's shard. The table's select path
-// calls it once per query; it is one short lock plus one small copy,
-// and a no-op when the heat map (and with it the reclusterer's whole
-// input surface) is disabled. Nil-safe.
+// calls it once per query; it is one short lock plus one small copy.
+// Nil-safe.
 func (r *Registry) NoteQueryShape(q *synopsis.Set) {
-	if r == nil || r.qmix == nil || q == nil || q.Empty() {
+	if r == nil || q == nil || q.Empty() {
 		return
 	}
-	attrs := q.Elements(nil)
-	qm := r.qmix
-	qm.mu.Lock()
-	qm.buf[qm.next] = qmixShape{shard: r.shard, attrs: attrs}
-	qm.next = (qm.next + 1) % len(qm.buf)
-	if qm.len < len(qm.buf) {
-		qm.len++
-	}
-	qm.mu.Unlock()
+	r.qmix.add(qmixShape{shard: r.shard, attrs: q.Elements(nil)})
 }
 
 // QueryShape is one distinct query attribute set in the recent mix,
@@ -72,14 +50,13 @@ type QueryShape struct {
 // up to max distinct shapes, most frequent first (ties by ascending
 // attribute set, for determinism). Nil-safe.
 func (r *Registry) QueryMix(shard int32, max int) []QueryShape {
-	if r == nil || r.qmix == nil || max <= 0 {
+	if r == nil || max <= 0 {
 		return nil
 	}
-	qm := r.qmix
-	qm.mu.Lock()
+	shapes, _ := r.qmix.dump()
 	byKey := make(map[string]*QueryShape)
-	for i := 0; i < qm.len; i++ {
-		s := &qm.buf[i]
+	for i := range shapes {
+		s := &shapes[i]
 		if s.shard != shard {
 			continue
 		}
@@ -91,7 +68,6 @@ func (r *Registry) QueryMix(shard int32, max int) []QueryShape {
 		}
 		sh.Count++
 	}
-	qm.mu.Unlock()
 	out := make([]QueryShape, 0, len(byKey))
 	for _, sh := range byKey {
 		out = append(out, *sh)
@@ -155,16 +131,7 @@ func (r *Registry) RecordReclusterOutcome(o ReclusterOutcome) {
 	if r == nil {
 		return
 	}
-	r.reclMu.Lock()
-	if r.reclOutcomes == nil {
-		r.reclOutcomes = make([]ReclusterOutcome, reclusterOutcomeCap)
-	}
-	r.reclOutcomes[r.reclNext] = o
-	r.reclNext = (r.reclNext + 1) % len(r.reclOutcomes)
-	if r.reclLen < len(r.reclOutcomes) {
-		r.reclLen++
-	}
-	r.reclMu.Unlock()
+	r.outcomes.add(o)
 }
 
 // ReclusterOutcomes returns the retained victim outcomes, oldest
@@ -173,40 +140,6 @@ func (r *Registry) ReclusterOutcomes() []ReclusterOutcome {
 	if r == nil {
 		return nil
 	}
-	r.reclMu.Lock()
-	defer r.reclMu.Unlock()
-	out := make([]ReclusterOutcome, 0, r.reclLen)
-	start := r.reclNext - r.reclLen
-	for i := 0; i < r.reclLen; i++ {
-		out = append(out, r.reclOutcomes[(start+i+len(r.reclOutcomes))%len(r.reclOutcomes)])
-	}
+	out, _ := r.outcomes.dump()
 	return out
-}
-
-// SetReclusterStatus installs (or, with nil, removes) the live status
-// provider behind /debug/recluster. The recluster manager installs a
-// closure over its Status method; registration order relative to Mux
-// does not matter. Nil-safe.
-func (r *Registry) SetReclusterStatus(f func() any) {
-	if r == nil {
-		return
-	}
-	if f == nil {
-		r.reclusterStatus.Store(nil)
-		return
-	}
-	r.reclusterStatus.Store(&f)
-}
-
-// reclusterStatusValue resolves the installed provider, reporting
-// whether a reclusterer is attached at all.
-func (r *Registry) reclusterStatusValue() (any, bool) {
-	if r == nil {
-		return nil, false
-	}
-	f := r.reclusterStatus.Load()
-	if f == nil {
-		return nil, false
-	}
-	return (*f)(), true
 }

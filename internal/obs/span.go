@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Query spans: the per-query trace model.
 //
@@ -190,52 +187,6 @@ func (sp *QuerySpan) sumChildren() {
 	}
 }
 
-// spanRing is a bounded mutex ring of retained spans (the slow-query
-// log and the recent-sampled-traces buffer).
-type spanRing struct {
-	mu   sync.Mutex
-	buf  []*QuerySpan
-	next int
-	n    int
-	seq  uint64 // total spans ever added; the ring retains the last len(buf)
-}
-
-func newSpanRing(capacity int) *spanRing {
-	return &spanRing{buf: make([]*QuerySpan, capacity)}
-}
-
-func (g *spanRing) add(sp *QuerySpan) {
-	g.mu.Lock()
-	g.buf[g.next] = sp
-	g.next = (g.next + 1) % len(g.buf)
-	if g.n < len(g.buf) {
-		g.n++
-	}
-	g.seq++
-	g.mu.Unlock()
-}
-
-// dump returns the retained spans, oldest first.
-func (g *spanRing) dump() []*QuerySpan {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]*QuerySpan, 0, g.n)
-	start := g.next - g.n
-	if start < 0 {
-		start += len(g.buf)
-	}
-	for i := 0; i < g.n; i++ {
-		out = append(out, g.buf[(start+i)%len(g.buf)])
-	}
-	return out
-}
-
-func (g *spanRing) total() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.seq
-}
-
 // StartQuery begins a span for one query, making the 1-in-N sampling
 // decision. Returns nil when the registry is nil or the span tracer is
 // disabled (Options.TraceSampleEvery < 0) — heat accounting and slow
@@ -294,9 +245,7 @@ func (r *Registry) FinishQuery(sp *QuerySpan, ns int64, agg QueryAgg, parts []Pa
 		for i := range parts {
 			parts[i].Shard = r.shard
 		}
-		if r.heat != nil {
-			r.heat.note(parts, r.snapEpoch.Load(), r.counters[CQueries].Load())
-		}
+		r.heat.note(parts, r.gauge(GSnapshotEpoch).Load(), r.counters[CQueries].Load())
 	}
 	slowNs := r.slowNs.Load()
 	if sp == nil {
@@ -363,7 +312,7 @@ func (r *Registry) SlowDump() ([]*QuerySpan, uint64) {
 	if r == nil {
 		return nil, 0
 	}
-	return r.slow.dump(), r.slow.total()
+	return r.slow.dump()
 }
 
 // RecentTraces returns the retained sampled root spans, oldest first.
@@ -372,7 +321,8 @@ func (r *Registry) RecentTraces() []*QuerySpan {
 	if r == nil {
 		return nil
 	}
-	return r.recent.dump()
+	spans, _ := r.recent.dump()
+	return spans
 }
 
 // TraceSampleEvery returns the sampling period (every N-th query is

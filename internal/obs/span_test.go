@@ -339,17 +339,17 @@ func TestMetricsHelpTypeCoverage(t *testing.T) {
 	sv := r.ShardView(0)
 	sv.Add(CScanDecoded, 7)
 	sv.Add(CScanDecodeSkipped, 3)
-	sv.SetPartitions(2)
+	sv.SetGauge(GPartitions, 2)
 	sp := sv.StartQuery(KindSelect)
 	sv.FinishQuery(sp, int64(2*time.Millisecond), QueryAgg{PartitionsTotal: 1, PartitionsTouched: 1},
 		[]PartSpan{{Partition: 4, Scanned: 10, Returned: 1, Decoded: 7, Skipped: 3, BytesRead: 100, BytesSkipped: 30}})
 	r.NoteQuery(1, 0, 1, 10, 10, 100, 1000)
-	r.ObserveInsertNs(100)
-	r.ObserveWALAppendNs(100)
-	r.ObserveWALSyncNs(100)
-	r.ObserveServerNs(100)
-	r.ObserveBatchSize(4)
-	r.ObserveWireBatch(4)
+	r.Observe(HInsertNs, 100)
+	r.Observe(HWALAppendNs, 100)
+	r.Observe(HWALSyncNs, 100)
+	r.Observe(HServerNs, 100)
+	r.Observe(HCommitBatch, 4)
+	r.Observe(HWireBatch, 4)
 
 	var buf strings.Builder
 	r.WriteMetrics(&buf)
@@ -495,7 +495,7 @@ func TestTraceStartQueryNilRegistry(t *testing.T) {
 	if slow, total := r.SlowDump(); slow != nil || total != 0 {
 		t.Fatal("nil SlowDump not empty")
 	}
-	if r.RecentTraces() != nil || r.TraceSampleEvery() != 0 || r.HeatSnapshot() != nil || r.HeatEnabled() {
+	if r.RecentTraces() != nil || r.TraceSampleEvery() != 0 || r.HeatSnapshot() != nil {
 		t.Fatal("nil registry trace accessors not empty")
 	}
 	var sp *QuerySpan
@@ -507,4 +507,38 @@ func TestTraceStartQueryNilRegistry(t *testing.T) {
 	if c := sp.NewChild(0); c != nil {
 		t.Fatal("nil span produced a child")
 	}
+}
+
+// TestStatusEndpoints pins the JSON of /debug/recluster and /debug/tier
+// with and without an installed status provider.
+func TestStatusEndpoints(t *testing.T) {
+	r := New(Options{})
+	r.Add(CReclusterRounds, 2)
+	r.Add(CTierThaws, 1)
+	r.RecordReclusterOutcome(ReclusterOutcome{Shard: 1, Partition: 9, Moved: 4})
+	srv := httptest.NewServer(r.Mux())
+	defer srv.Close()
+
+	check := func(path, want string) {
+		t.Helper()
+		var got map[string]any
+		getJSON(t, srv.URL+path, &got)
+		b, _ := json.Marshal(got)
+		if string(b) != want {
+			t.Errorf("%s = %s, want %s", path, b, want)
+		}
+	}
+	recl := `"counters":{"batches":0,"examined":0,"moves":0,"rounds":2},`
+	outcomes := `"outcomes":[{"after_known":false,"examined":0,"moved":4,"partition":9,"ratio_after":0,"ratio_before":0,"shard":1}]`
+	tier := `{"counters":{"freezes":0,"thaws":1},`
+	check("/debug/recluster", `{`+recl+`"enabled":false,`+outcomes+`,"status":null}`)
+	check("/debug/tier", tier+`"enabled":false,"status":null}`)
+
+	r.SetStatus("recluster", func() any { return map[string]int{"batch_size": 8} })
+	r.SetStatus("tier", func() any { return map[string]int{"hot_resident_bytes": 42} })
+	check("/debug/recluster", `{`+recl+`"enabled":true,`+outcomes+`,"status":{"batch_size":8}}`)
+	check("/debug/tier", tier+`"enabled":true,"status":{"hot_resident_bytes":42}}`)
+
+	r.SetStatus("tier", nil)
+	check("/debug/tier", tier+`"enabled":false,"status":null}`)
 }

@@ -1,12 +1,10 @@
 package obs
 
-import "sync"
-
 // The event trace records structured partitioner decisions in a bounded
 // in-memory ring: which partition an insert chose and at what rating,
 // which starter pair seeded a split and what the resulting partitions
-// look like, when partitions appear and disappear. Dump snapshots the
-// ring for post-mortem analysis in tests and experiments — the
+// look like, when partitions appear and disappear. TraceDump snapshots
+// the ring for post-mortem analysis in tests and experiments — the
 // micro-scale counterpart of the paper's Figure 8 split accounting.
 
 // EventKind tags a trace event.
@@ -66,7 +64,8 @@ func (k EventKind) String() string {
 // Kind (see the kind constants); unused fields are zero. Shard is the id
 // of the shard whose partitioner emitted the event (-1 when the producer
 // holds the root handle: a library table opened without a shard view);
-// TraceEvent stamps it from the handle.
+// TraceEvent stamps it from the handle, and TraceDump stamps Seq: the
+// event's position among all events ever traced, counting from 0.
 type Event struct {
 	Seq      uint64    `json:"seq"`
 	Kind     EventKind `json:"kind"`
@@ -80,53 +79,4 @@ type Event struct {
 	StarterB uint64    `json:"starter_b,omitempty"`
 	SynA     int       `json:"syn_a,omitempty"`
 	SynB     int       `json:"syn_b,omitempty"`
-}
-
-// Trace is the bounded event ring. Writers are serialized by a mutex —
-// the partitioner itself is single-writer, but independent tables may
-// share one registry — and the preallocated buffer keeps the steady
-// state allocation-free.
-type Trace struct {
-	mu  sync.Mutex
-	buf []Event
-	seq uint64 // total events ever added
-}
-
-func newTrace(capacity int) *Trace {
-	return &Trace{buf: make([]Event, capacity)}
-}
-
-// add stamps ev with the next sequence number and stores it, evicting
-// the oldest event once the ring is full.
-func (t *Trace) add(ev Event) {
-	t.mu.Lock()
-	ev.Seq = t.seq
-	t.buf[t.seq%uint64(len(t.buf))] = ev
-	t.seq++
-	t.mu.Unlock()
-}
-
-// Seq returns the total number of events ever added.
-func (t *Trace) Seq() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
-// Dump snapshots the retained events, oldest first.
-func (t *Trace) Dump() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.seq
-	capU := uint64(len(t.buf))
-	if n > capU {
-		out := make([]Event, 0, capU)
-		for i := n - capU; i < n; i++ {
-			out = append(out, t.buf[i%capU])
-		}
-		return out
-	}
-	out := make([]Event, n)
-	copy(out, t.buf[:n])
-	return out
 }

@@ -197,12 +197,12 @@ func New(st Store, reg *obs.Registry, cfg Config) *Manager {
 	if cfg.HeatHalfLife > 0 {
 		reg.SetHeatHalfLife(cfg.HeatHalfLife)
 	}
-	reg.SetReclusterStatus(func() any { return m.Status() })
+	reg.SetStatus("recluster", func() any { return m.Status() })
 	return m
 }
 
 // Close detaches the manager from the registry's status surface.
-func (m *Manager) Close() { m.reg.SetReclusterStatus(nil) }
+func (m *Manager) Close() { m.reg.SetStatus("recluster", nil) }
 
 // Pause suspends reclustering: Ticks become no-ops until Resume. The
 // daemon pauses the manager when drain begins so shutdown never races

@@ -191,7 +191,7 @@ func (c *Committer) flush() {
 	err := c.d.SyncTo(max)
 	c.obs.Add(obs.CGroupCommits, 1)
 	c.obs.Add(obs.CGroupCommitOps, int64(len(batch)))
-	c.obs.ObserveBatchSize(int64(len(batch)))
+	c.obs.Observe(obs.HCommitBatch, int64(len(batch)))
 	for _, r := range batch {
 		r.done <- err
 	}

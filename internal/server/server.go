@@ -156,15 +156,15 @@ func (s *Server) route(pattern string, h func(http.ResponseWriter, *http.Request
 			s.reject(w, "inflight bound reached")
 			return
 		}
-		s.obs.AddServerInflight(1)
+		s.obs.AddGauge(obs.GServerInflight, 1)
 		cr := &countingReader{r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)}
 		cw := &countingWriter{ResponseWriter: w}
 		defer func() {
 			<-s.sem
-			s.obs.AddServerInflight(-1)
+			s.obs.AddGauge(obs.GServerInflight, -1)
 			s.obs.Add(obs.CBytesInHTTP, cr.n)
 			s.obs.Add(obs.CBytesOutHTTP, cw.n)
-			s.obs.ObserveServerNs(time.Since(start).Nanoseconds())
+			s.obs.Observe(obs.HServerNs, time.Since(start).Nanoseconds())
 		}()
 
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)

@@ -301,7 +301,7 @@ func TestServerBackpressure(t *testing.T) {
 		resp.Body.Close()
 		held <- resp.StatusCode
 	}()
-	for deadline := time.Now().Add(5 * time.Second); h.reg.ServerInflight() != 1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); h.reg.Gauge(obs.GServerInflight) != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("held compaction never took the inflight slot")
 		}

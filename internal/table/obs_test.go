@@ -120,7 +120,7 @@ func TestStreamingEfficiencyMatchesMetrics(t *testing.T) {
 		}
 
 		// The partition gauge tracks the live catalog.
-		if got, want := reg.Partitions(), int64(tbl.NumPartitions()); got != want {
+		if got, want := reg.Gauge(obs.GPartitions), int64(tbl.NumPartitions()); got != want {
 			t.Fatalf("seed %d: partitions gauge = %d, table has %d", seed, got, want)
 		}
 	}
@@ -160,7 +160,7 @@ func TestTraceLifecycle(t *testing.T) {
 	if n := tbl.NumPartitions(); n != 0 {
 		t.Fatalf("table still holds %d partitions", n)
 	}
-	if got := reg.Partitions(); got != 0 {
+	if got := reg.Gauge(obs.GPartitions); got != 0 {
 		t.Fatalf("partitions gauge = %d, want 0", got)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"cinderella/internal/core"
+	"cinderella/internal/obs"
 	"cinderella/internal/storage"
 	"cinderella/internal/synopsis"
 )
@@ -153,7 +154,7 @@ func (t *Table) endMut() {
 	}
 	t.snapSeq.Add(1)
 	if changed {
-		t.observer().SetSnapshotEpoch(int64(t.epoch.Add(1)))
+		t.observer().SetGauge(obs.GSnapshotEpoch, int64(t.epoch.Add(1)))
 	}
 }
 

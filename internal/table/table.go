@@ -233,8 +233,8 @@ func (t *Table) setObserverLocked(r *obs.Registry) {
 	if o, ok := t.assigner.(observable); ok {
 		o.SetObserver(r)
 	}
-	r.SetPartitions(t.numPartsLocked())
-	r.SetSnapshotEpoch(int64(t.epoch.Load()))
+	r.SetGauge(obs.GPartitions, t.numPartsLocked())
+	r.SetGauge(obs.GSnapshotEpoch, int64(t.epoch.Load()))
 }
 
 // numPartsLocked counts partitions across both tiers. Callers hold mu.
@@ -442,8 +442,8 @@ func (t *Table) insertLocked(id core.EntityID, e *entity.Entity) {
 	t.assigner.Insert(core.Entity{ID: id, Syn: t.synizer.Synopsis(e), Size: e.Size()})
 	t.endOp(id)
 	if r := t.observer(); r != nil {
-		r.ObserveInsertNs(lapNs(start))
-		r.SetPartitions(t.numPartsLocked())
+		r.Observe(obs.HInsertNs, lapNs(start))
+		r.SetGauge(obs.GPartitions, t.numPartsLocked())
 	}
 }
 
@@ -527,7 +527,7 @@ func (t *Table) Delete(id core.EntityID) bool {
 	t.markDirty(loc.pid)
 	delete(t.rows, id)
 	t.assigner.Delete(id)
-	t.observer().SetPartitions(t.numPartsLocked())
+	t.observer().SetGauge(obs.GPartitions, t.numPartsLocked())
 	return true
 }
 
@@ -578,7 +578,7 @@ func (t *Table) replace(id core.EntityID, loc rowLoc, e *entity.Entity, blender 
 		t.pendingDone = true
 	}
 	t.endOp(id)
-	t.observer().SetPartitions(t.numPartsLocked())
+	t.observer().SetGauge(obs.GPartitions, t.numPartsLocked())
 	return pid
 }
 
@@ -596,7 +596,7 @@ func (t *Table) Compact(threshold float64) int {
 		return 0
 	}
 	n := c.Compact(threshold)
-	t.observer().SetPartitions(t.numPartsLocked())
+	t.observer().SetGauge(obs.GPartitions, t.numPartsLocked())
 	return n
 }
 

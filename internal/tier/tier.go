@@ -175,12 +175,12 @@ func New(st Store, reg *obs.Registry, cfg Config) *Manager {
 		coldReads: make(map[tierKey]int64),
 		frozen:    make(map[tierKey]bool),
 	}
-	reg.SetTierStatus(func() any { return m.Status() })
+	reg.SetStatus("tier", func() any { return m.Status() })
 	return m
 }
 
 // Close detaches the manager from the registry's status surface.
-func (m *Manager) Close() { m.reg.SetTierStatus(nil) }
+func (m *Manager) Close() { m.reg.SetStatus("tier", nil) }
 
 // Pause suspends tiering: Ticks become no-ops until Resume. The daemon
 // pauses the manager when drain begins so shutdown never races a

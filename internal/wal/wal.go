@@ -110,7 +110,7 @@ func (w *Writer) Append(op Op) error {
 		if w.obs != nil {
 			w.obs.Add(obs.CWALAppends, 1)
 			w.obs.Add(obs.CWALAppendBytes, int64(len(hdr)+len(payload)))
-			w.obs.ObserveWALAppendNs(time.Since(start).Nanoseconds())
+			w.obs.Observe(obs.HWALAppendNs, time.Since(start).Nanoseconds())
 		}
 	}
 	return err
@@ -151,7 +151,7 @@ func (w *Writer) SyncFile() error {
 	err := w.f.Sync()
 	if err == nil && w.obs != nil {
 		w.obs.Add(obs.CWALSyncs, 1)
-		w.obs.ObserveWALSyncNs(time.Since(start).Nanoseconds())
+		w.obs.Observe(obs.HWALSyncNs, time.Since(start).Nanoseconds())
 	}
 	return err
 }
@@ -184,7 +184,7 @@ func (w *Writer) Sync() error {
 		w.MarkSynced(seq)
 		if w.obs != nil {
 			w.obs.Add(obs.CWALSyncs, 1)
-			w.obs.ObserveWALSyncNs(time.Since(start).Nanoseconds())
+			w.obs.Observe(obs.HWALSyncNs, time.Since(start).Nanoseconds())
 		}
 	}
 	return err

@@ -128,7 +128,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[nc] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		s.obs.AddWireConns(1)
+		s.obs.AddGauge(obs.GWireConns, 1)
 		go s.serveConn(nc)
 	}
 }
@@ -202,7 +202,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
-		s.obs.AddWireConns(-1)
+		s.obs.AddGauge(obs.GWireConns, -1)
 	}()
 
 	for {
@@ -414,7 +414,7 @@ func (s *Server) handleBatch(c *conn, f Frame) {
 		}
 	}
 	s.obs.Add(obs.CWireOps, int64(applied))
-	s.obs.ObserveWireBatch(int64(count))
+	s.obs.Observe(obs.HWireBatch, int64(count))
 
 	if applied > 0 {
 		if err := s.commit(); err != nil {
